@@ -1,14 +1,16 @@
 // Estimated-success-probability (ESP) complement to Fig. 9: the analytic
-// fidelity proxy ESP = Π gate fidelities × exp(-Σ qubit lifetime / T)
-// lets us probe the SWAP-count-vs-schedule-length trade-off on devices far
-// beyond density-matrix reach. Reported for CODAR and SABRE across a suite
-// slice on IBM Q20 Tokyo and Google Sycamore, with Table I's
-// superconducting gate fidelities.
+// fidelity proxy of cost::FidelityModel (gate fidelities × readout ×
+// idle-window decoherence under T1/T2) lets us probe the
+// SWAP-count-vs-schedule-length trade-off on devices far beyond
+// density-matrix reach. Reported for CODAR and SABRE across a suite slice
+// on IBM Q20 Tokyo and Google Sycamore, with Table I's superconducting
+// gate fidelities.
 
+#include <cmath>
 #include <iostream>
 
 #include "codar/common/table.hpp"
-#include "codar/schedule/success.hpp"
+#include "codar/cost/fidelity_model.hpp"
 #include "codar/workloads/suite.hpp"
 #include "support/harness.hpp"
 
@@ -17,18 +19,20 @@ int main() {
   bench::print_header("ESP - analytic fidelity proxy (Fig. 9 complement)");
 
   const double coherence_cycles = 2000.0;
-  const arch::FidelityMap fidelities = arch::FidelityMap::superconducting();
   std::cout << "gate fidelities: superconducting preset (F2q = 0.965, "
-               "SWAP = 0.965^3); coherence T = "
+               "SWAP = 0.965^3); coherence T1 = T2 = "
             << coherence_cycles << " cycles\n\n";
 
-  for (const arch::Device& dev :
+  for (arch::Device dev :
        {arch::ibm_q20_tokyo(), arch::google_sycamore54()}) {
+    dev.fidelities = arch::FidelityMap::superconducting();
+    dev.coherence = arch::Coherence{coherence_cycles, coherence_cycles};
     std::cout << "--- " << dev.name << " ---\n\n";
     const sabre::SabreRouter sabre(dev);
     const core::CodarRouter codar(dev);
+    const cost::FidelityModel model(dev);
     Table table({"benchmark", "ESP CODAR", "ESP SABRE", "gate factor C/S",
-                 "coherence factor C/S"});
+                 "decoherence factor C/S"});
     double sum_codar = 0.0, sum_sabre = 0.0;
     int count = 0;
     for (const auto& spec : workloads::benchmark_suite()) {
@@ -36,17 +40,16 @@ int main() {
       if (spec.circuit.size() > 700 || spec.circuit.size() < 30) continue;
       const layout::Layout initial =
           sabre.initial_mapping(spec.circuit, 2, 17);
-      const auto r_codar = codar.route(spec.circuit, initial);
-      const auto r_sabre = sabre.route(spec.circuit, initial);
-      const auto esp_codar = schedule::estimate_success(
-          r_codar.circuit, dev.durations, fidelities, coherence_cycles);
-      const auto esp_sabre = schedule::estimate_success(
-          r_sabre.circuit, dev.durations, fidelities, coherence_cycles);
+      const cost::EspEstimate esp_codar =
+          model.estimate(codar.route(spec.circuit, initial).circuit);
+      const cost::EspEstimate esp_sabre =
+          model.estimate(sabre.route(spec.circuit, initial).circuit);
       table.add_row(
           {spec.name, fmt_fixed(esp_codar.esp(), 4),
            fmt_fixed(esp_sabre.esp(), 4),
-           fmt_fixed(esp_codar.gate_factor / esp_sabre.gate_factor, 3),
-           fmt_fixed(esp_codar.coherence_factor / esp_sabre.coherence_factor,
+           fmt_fixed(std::exp(esp_codar.log_gate - esp_sabre.log_gate), 3),
+           fmt_fixed(std::exp(esp_codar.log_decoherence -
+                              esp_sabre.log_decoherence),
                      3)});
       sum_codar += esp_codar.esp();
       sum_sabre += esp_sabre.esp();
@@ -58,7 +61,7 @@ int main() {
     std::cout << "\naverage ESP: CODAR " << fmt_fixed(sum_codar / count, 4)
               << " vs SABRE " << fmt_fixed(sum_sabre / count, 4)
               << "  (CODAR trades a lower gate factor — more SWAPs — for a "
-                 "higher coherence factor — shorter schedules)\n\n";
+                 "higher decoherence factor — less idle time)\n\n";
   }
   return 0;
 }

@@ -1,6 +1,6 @@
 // Router runtime scaling on large devices: routes synthetic workloads up
-// to 100k gates / 2500 qubits (grid-50x50, the on-demand distance-oracle
-// reference device) and emits BENCH_scaling.json in the BENCH_router.json
+// to 100k gates / 2500 qubits (grid-50x50, the on-demand distance
+// backend's reference device) and emits BENCH_scaling.json in the BENCH_router.json
 // shape, so CI can gate swaps/makespan/cycles exactly while wall time
 // stays an informational trajectory. Usage:
 //

@@ -9,7 +9,7 @@
 #include <ostream>
 #include <thread>
 
-#include "codar/cli/device_registry.hpp"
+#include "codar/pipeline/device_registry.hpp"
 #include "codar/pipeline/registry.hpp"
 #include "codar/qasm/parser.hpp"
 
@@ -174,7 +174,8 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     return 0;
   }
   if (opts.list_devices) {
-    for (const DeviceEntry& entry : device_catalog()) {
+    for (const pipeline::DeviceEntry& entry :
+         pipeline::DeviceRegistry::instance().entries()) {
       out << entry.spec << "\t" << entry.description << "\n";
     }
     return 0;
@@ -184,7 +185,8 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     // fingerprint the serve route cache keys on. scripts/
     // check_device_files.sh diffs two runs of this to pin determinism.
     try {
-      const arch::Device device = make_device(opts.describe_device);
+      const arch::Device device =
+          pipeline::DeviceRegistry::instance().make(opts.describe_device);
       char fp[32];
       std::snprintf(fp, sizeof(fp), "0x%016llx",
                     static_cast<unsigned long long>(device.fingerprint()));
@@ -220,7 +222,8 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     return 0;
   }
   try {
-    const arch::Device device = make_device(opts.device);
+    const arch::Device device =
+        pipeline::DeviceRegistry::instance().make(opts.device);
     if (!opts.batch_dir.empty() || opts.suite || opts.inputs.size() > 1) {
       return run_many(opts, device, out, err);
     }

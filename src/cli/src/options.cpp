@@ -1,9 +1,5 @@
 #include "codar/cli/options.hpp"
 
-#include <stdexcept>
-
-#include "codar/arch/distance_oracle.hpp"
-
 namespace codar::cli {
 
 bool parse_routing_flag(Options& opts, const std::string& arg,
@@ -28,17 +24,6 @@ bool parse_routing_flag(Options& opts, const std::string& arg,
       throw UsageError("--set expects KEY=VALUE, got '" + kv + "'");
     }
     opts.set_extra(kv.substr(0, eq), kv.substr(eq + 1));
-  } else if (arg == "--distance-oracle") {
-    // Process-wide distance-backend override, applied at parse time: it
-    // only changes how distances are computed (memory/latency), never
-    // their values, so it is deliberately not part of Options or any
-    // route-cache key — and not accepted on untrusted serve request
-    // lines, only on the trusted command line.
-    try {
-      arch::set_default_distance_policy(arch::parse_distance_policy(value()));
-    } catch (const std::invalid_argument& e) {
-      throw UsageError(e.what());
-    }
   } else if (arg == "--no-verify") {
     opts.verify = false;
   } else if (arg == "--timing") {
@@ -145,11 +130,6 @@ routing:
       --peephole        run the peephole cleanup pass before routing
       --set KEY=VALUE   free-form knob for externally registered passes
                         (read via RoutingSpec::extra; cache-key relevant)
-      --distance-oracle MODE
-                        distance backend: auto (default; dense matrix up
-                        to 1024 qubits, on-demand above), dense,
-                        on-demand, or landmark. Affects memory and speed
-                        only — routed output is identical for every MODE
       --no-verify       skip the routing verifier
       --timing          add per-route and per-stage wall times (route_us,
                         stage_us) to the JSON stats; off by default so

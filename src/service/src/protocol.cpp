@@ -6,13 +6,17 @@
 
 #include "codar/arch/device_json.hpp"
 #include "codar/common/fnv.hpp"
+#include "codar/common/json.hpp"
 #include "codar/pipeline/device_registry.hpp"
 #include "codar/pipeline/registry.hpp"
-#include "codar/service/json.hpp"
 
 namespace codar::service {
 
 namespace {
+
+using common::Json;
+using common::JsonError;
+using common::json_quote;
 
 [[noreturn]] void bad(const std::string& what) { throw ProtocolError(what); }
 

@@ -8,6 +8,7 @@
 #include <deque>
 #include <iostream>
 #include <istream>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -18,12 +19,12 @@
 
 #include <unistd.h>
 
-#include "codar/cli/device_registry.hpp"
-#include "codar/common/thread_annotations.hpp"
 #include "codar/cli/report.hpp"
+#include "codar/common/json.hpp"
+#include "codar/common/thread_annotations.hpp"
 #include "codar/ir/circuit.hpp"
+#include "codar/pipeline/device_registry.hpp"
 #include "codar/qasm/parser.hpp"
-#include "codar/service/json.hpp"
 #include "codar/service/protocol.hpp"
 #include "codar/service/route_cache.hpp"
 #include "codar/service/transport.hpp"
@@ -34,6 +35,10 @@
 namespace codar::service {
 
 namespace {
+
+using common::Json;
+using common::JsonError;
+using common::json_quote;
 
 std::size_t parse_size(const std::string& flag, const std::string& value) {
   std::size_t result = 0;
@@ -225,20 +230,29 @@ class Server {
     for (;;) {
       std::unique_ptr<Connection> io = listener.accept();
       if (io == nullptr) break;  // close()d by shutdown
+      reap_readers();
       auto conn = std::make_shared<ClientConn>(std::move(io));
       const common::MutexLock lock(conns_mutex_);
       conns_.push_back(conn);
-      reader_threads_.emplace_back(
-          [this, conn = std::move(conn)] { reader_loop(conn); });
+      const auto self = reader_threads_.emplace(reader_threads_.end());
+      *self = std::thread([this, conn = std::move(conn), self] {
+        reader_loop(conn);
+        const common::MutexLock done(conns_mutex_);
+        finished_readers_.push_back(self);
+      });
     }
     // Drain: readers stop reading (shutdown flag), wait out their
     // accepted requests, flush and close; workers then run the queue dry.
-    std::vector<std::thread> readers;
+    std::list<std::thread> readers;
     {
       const common::MutexLock lock(conns_mutex_);
       readers.swap(reader_threads_);
     }
     for (std::thread& t : readers) t.join();
+    {
+      const common::MutexLock lock(conns_mutex_);
+      finished_readers_.clear();
+    }
     stop_workers();
   }
 
@@ -257,6 +271,20 @@ class Server {
     for (int t = 0; t < threads; ++t) {
       workers_.emplace_back([this] { worker_loop(); });
     }
+  }
+
+  /// Joins the readers whose connection has closed, so only live
+  /// connections hold a thread (and its mapped stack).
+  void reap_readers() CODAR_EXCLUDES(conns_mutex_) {
+    std::list<std::thread> finished;
+    {
+      const common::MutexLock lock(conns_mutex_);
+      for (const auto it : finished_readers_) {
+        finished.splice(finished.end(), reader_threads_, it);
+      }
+      finished_readers_.clear();
+    }
+    for (std::thread& t : finished) t.join();
   }
 
   void stop_workers() {
@@ -548,12 +576,12 @@ class Server {
         return it->second;
       }
     }
-    // Construction (including the distance-oracle pre-warm) runs outside
+    // Construction (including the distance backend pre-warm) runs outside
     // the lock so a cold lookup never stalls other workers. Two racing
     // cold lookups both build; emplace keeps the first, the loser's copy
     // is discarded — cheaper than single-flighting device construction.
-    auto device =
-        std::make_shared<const arch::Device>(cli::make_device(spec));
+    auto device = std::make_shared<const arch::Device>(
+        pipeline::DeviceRegistry::instance().make(spec));
     // Build the lazily constructed distance oracle now, while this thread
     // holds the only reference — workers then only ever read it.
     device->graph.prepare();
@@ -647,7 +675,10 @@ class Server {
   common::Mutex conns_mutex_;
   std::vector<std::shared_ptr<ClientConn>> conns_
       CODAR_GUARDED_BY(conns_mutex_);
-  std::vector<std::thread> reader_threads_ CODAR_GUARDED_BY(conns_mutex_);
+  std::list<std::thread> reader_threads_ CODAR_GUARDED_BY(conns_mutex_);
+  /// Readers whose reader_loop has returned, awaiting reap_readers().
+  std::vector<std::list<std::thread>::iterator> finished_readers_
+      CODAR_GUARDED_BY(conns_mutex_);
 
   std::vector<std::thread> workers_;
 
@@ -896,10 +927,6 @@ service options:
       --warm-start N    preload the N most recent disk entries into the
                         memory tier at boot (default 0)
       --threads, -j N   worker threads (0 = hardware concurrency)
-      --distance-oracle MODE
-                        process-wide distance backend (auto | dense |
-                        on-demand | landmark); command-line only, never
-                        settable from request lines
 
 request defaults (overridable per request; same meaning as in batch mode):
   -d, --device SPEC  -r, --router NAME  --initial NAME  --seed N
@@ -912,7 +939,7 @@ request defaults (overridable per request; same meaning as in batch mode):
 std::unique_ptr<ServerHandle> start_serve(const ServeOptions& opts) {
   // Fail fast on an unknown default device instead of erroring every
   // request.
-  cli::make_device(opts.defaults.device);
+  pipeline::DeviceRegistry::instance().make(opts.defaults.device);
   const ListenSpec spec = parse_listen_spec(opts.listen);
   if (spec.kind == ListenSpec::Kind::kStdio) {
     throw std::invalid_argument(
@@ -928,7 +955,7 @@ int run_serve(const ServeOptions& opts, std::istream& in, std::ostream& out,
     spec = parse_listen_spec(opts.listen);
     // Fail fast on an unknown default device instead of erroring every
     // request.
-    cli::make_device(opts.defaults.device);
+    pipeline::DeviceRegistry::instance().make(opts.defaults.device);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";
     return 2;

@@ -8,10 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include "codar/cli/device_registry.hpp"
 #include "codar/cli/driver.hpp"
 #include "codar/cli/options.hpp"
 #include "codar/ir/decompose.hpp"
+#include "codar/pipeline/device_registry.hpp"
 #include "codar/qasm/parser.hpp"
 #include "codar/qasm/writer.hpp"
 #include "codar/workloads/generators.hpp"
@@ -20,6 +20,10 @@ namespace codar::cli {
 namespace {
 
 namespace fs = std::filesystem;
+
+arch::Device make_device(const std::string& spec) {
+  return pipeline::DeviceRegistry::instance().make(spec);
+}
 
 fs::path temp_dir(const std::string& name) {
   const fs::path dir = fs::path(testing::TempDir()) / name;

@@ -74,11 +74,5 @@ TEST(OracleEquivalence, SuiteRoutesByteIdenticallyUnderOnDemand) {
   expect_identical(dense, on_demand, "on-demand");
 }
 
-TEST(OracleEquivalence, SuiteRoutesByteIdenticallyUnderLandmark) {
-  const RoutedSuite dense = route_suite(arch::DistancePolicy::kDense);
-  const RoutedSuite landmark = route_suite(arch::DistancePolicy::kLandmark);
-  expect_identical(dense, landmark, "landmark");
-}
-
 }  // namespace
 }  // namespace codar

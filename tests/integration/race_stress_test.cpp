@@ -30,7 +30,7 @@
 #include "codar/arch/device.hpp"
 #include "codar/arch/device_json.hpp"
 #include "codar/arch/distance_oracle.hpp"
-#include "codar/service/json.hpp"
+#include "codar/common/json.hpp"
 #include "codar/service/route_cache.hpp"
 #include "codar/service/server.hpp"
 #include "codar/workloads/suite.hpp"
@@ -191,8 +191,7 @@ TEST(RaceStress, SharedRowLruServesGraphCopiesUnderEvictionChurn) {
   const int n = base.num_qubits();
 
   const arch::OnDemandDistanceOracle::Config config{
-      /*row_cache_bytes=*/4 * static_cast<std::size_t>(n) * sizeof(int),
-      /*num_landmarks=*/4};
+      /*row_cache_bytes=*/4 * static_cast<std::size_t>(n) * sizeof(int)};
   const arch::OnDemandDistanceOracle oracle(base, config);
 
   run_threads(8, [&](int t) {
@@ -203,9 +202,6 @@ TEST(RaceStress, SharedRowLruServesGraphCopiesUnderEvictionChurn) {
           expected[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
                    static_cast<std::size_t>(b)];
       ASSERT_EQ(oracle.distance(a, b), exact) << a << "," << b;
-      // The landmark table is read lock-free; its bound must stay
-      // admissible while the row cache churns.
-      ASSERT_LE(oracle.lower_bound(a, b), exact) << a << "," << b;
     }
   });
 
@@ -268,7 +264,7 @@ TEST(RaceStress, ServeSingleFlightStormOverWorkerPool) {
           "{\"id\": " +
           std::to_string(wave * static_cast<int>(names.size()) +
                          static_cast<int>(c)) +
-          ", \"suite_name\": " + service::json_quote(names[c]) + "}");
+          ", \"suite_name\": " + common::json_quote(names[c]) + "}");
     }
   }
   lines.push_back(R"({"id": "stats", "cmd": "stats"})");
@@ -279,8 +275,8 @@ TEST(RaceStress, ServeSingleFlightStormOverWorkerPool) {
   std::string stats_line;
   std::set<std::string> seen_ids;
   for (const std::string& line : responses) {
-    const service::Json doc = service::Json::parse(line);
-    const service::Json* id = doc.find("id");
+    const common::Json doc = common::Json::parse(line);
+    const common::Json* id = doc.find("id");
     ASSERT_NE(id, nullptr) << line;
     if (id->is_string()) {
       stats_line = line;
@@ -294,7 +290,7 @@ TEST(RaceStress, ServeSingleFlightStormOverWorkerPool) {
   EXPECT_EQ(seen_ids.size(), names.size() * kWaves);
 
   ASSERT_FALSE(stats_line.empty());
-  const service::Json stats = service::Json::parse(stats_line);
+  const common::Json stats = common::Json::parse(stats_line);
   EXPECT_EQ(stats.find("errors")->as_number(), 0.0);
   EXPECT_EQ(stats.find("requests")->as_number(),
             static_cast<double>(names.size() * kWaves));
@@ -334,7 +330,7 @@ TEST(RaceStress, ServeConcurrentInlineDeviceMemoInserts) {
     for (const std::string& device : devices) {
       for (const std::string& name : names) {
         lines.push_back("{\"id\": " + std::to_string(id++) +
-                        ", \"suite_name\": " + service::json_quote(name) +
+                        ", \"suite_name\": " + common::json_quote(name) +
                         ", \"device\": " + device + "}");
       }
     }
@@ -346,7 +342,7 @@ TEST(RaceStress, ServeConcurrentInlineDeviceMemoInserts) {
 
   std::string stats_line;
   for (const std::string& line : responses) {
-    const service::Json doc = service::Json::parse(line);
+    const common::Json doc = common::Json::parse(line);
     if (doc.find("id")->is_string()) {
       stats_line = line;
       continue;
@@ -356,7 +352,7 @@ TEST(RaceStress, ServeConcurrentInlineDeviceMemoInserts) {
   }
 
   ASSERT_FALSE(stats_line.empty());
-  const service::Json stats = service::Json::parse(stats_line);
+  const common::Json stats = common::Json::parse(stats_line);
   EXPECT_EQ(stats.find("errors")->as_number(), 0.0);
   // (device, circuit) pairs route once each; every duplicate wave hits.
   EXPECT_EQ(stats.find("routed")->as_number(),

@@ -3,10 +3,12 @@
 // Unix-domain sockets, per-connection backpressure liveness, and protocol
 // robustness at the transport boundary — oversized frames, split lines,
 // malformed JSON mid-pipeline, clients vanishing with responses pending,
-// idle timeouts and drain-on-shutdown. The TSan CI lane runs these to put
-// real contention on the connection path.
+// idle timeouts, drain-on-shutdown, and flat memory and thread use under
+// connection churn. The TSan CI lane runs these to put real contention on
+// the connection path.
 
 #include <chrono>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -16,10 +18,10 @@
 
 #include <gtest/gtest.h>
 
-#include "codar/cli/device_registry.hpp"
 #include "codar/cli/driver.hpp"
 #include "codar/cli/report.hpp"
-#include "codar/service/json.hpp"
+#include "codar/common/json.hpp"
+#include "codar/pipeline/device_registry.hpp"
 #include "codar/service/server.hpp"
 #include "codar/service/transport.hpp"
 #include "codar/workloads/suite.hpp"
@@ -28,6 +30,9 @@
 
 namespace codar::service {
 namespace {
+
+using common::Json;
+using common::json_quote;
 
 /// A blocking NDJSON test client over one transport connection.
 class Client {
@@ -115,7 +120,8 @@ TEST(ServeSocket, EightClientStormIsByteIdenticalToBatch) {
 
   const std::vector<workloads::BenchmarkSpec> suite =
       workloads::benchmark_suite();
-  const arch::Device device = cli::make_device("enfield");
+  const arch::Device device =
+      pipeline::DeviceRegistry::instance().make("enfield");
   const std::vector<cli::RouteReport> reference =
       cli::run_batch(suite, device, sopts.defaults);
 
@@ -186,7 +192,8 @@ TEST(ServeSocket, UnixDomainSocketServesConcurrentClients) {
   const auto handle = start_serve(sopts);
   EXPECT_EQ(handle->endpoint(), sopts.listen);
 
-  const arch::Device device = cli::make_device("enfield");
+  const arch::Device device =
+      pipeline::DeviceRegistry::instance().make("enfield");
   const std::vector<workloads::BenchmarkSpec> suite =
       workloads::benchmark_suite();
   const std::vector<cli::RouteReport> reference =
@@ -395,6 +402,47 @@ TEST(ServeSocket, BackpressureCapKeepsPipelinedBurstsLive) {
     ids.insert(Json::parse(line).find("id")->raw_number());
   }
   EXPECT_EQ(ids.size(), static_cast<std::size_t>(kBurst));
+}
+
+/// One numeric field ("VmSize", "Threads", ...) of /proc/self/status; -1
+/// when absent. VmSize is in kB.
+long long proc_status(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stoll(line.substr(field.size() + 1));
+    }
+  }
+  return -1;
+}
+
+TEST(ServeSocket, ConnectionChurnKeepsMemoryAndThreadsFlat) {
+  // Every closed connection must give back its reader thread. A finished
+  // reader that is never joined keeps its stack mapped (8 MiB of VmSize
+  // apiece), so 2000 connect/close cycles would grow VmSize by ~16 GiB.
+  const ServeOptions sopts = tcp_options();
+  const auto handle = start_serve(sopts);
+  const auto cycle = [&](int i) {
+    Client client(handle->endpoint());
+    ASSERT_TRUE(client.send(R"({"cmd": "stats"})")) << "cycle " << i;
+    std::string line;
+    ASSERT_TRUE(client.read_line(&line)) << "cycle " << i;
+    EXPECT_NE(line.find("\"requests\""), std::string::npos) << line;
+  };
+
+  for (int i = 0; i < 50; ++i) cycle(i);  // warm up the allocators
+  const long long vm_before = proc_status("VmSize");
+  const long long threads_before = proc_status("Threads");
+  ASSERT_GT(vm_before, 0) << "no /proc/self/status";
+  for (int i = 0; i < 2000; ++i) {
+    cycle(i);
+    if (HasFatalFailure()) return;
+  }
+  const long long vm_growth_mib = (proc_status("VmSize") - vm_before) / 1024;
+  EXPECT_LT(vm_growth_mib, 512) << "VmSize grew by " << vm_growth_mib
+                                << " MiB over 2000 connections";
+  EXPECT_LE(proc_status("Threads"), threads_before + 8);
 }
 
 TEST(ServeSocketArgs, ParsesTransportFlags) {

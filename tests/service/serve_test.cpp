@@ -14,13 +14,16 @@
 #include <gtest/gtest.h>
 
 #include "codar/arch/device_json.hpp"
-#include "codar/cli/device_registry.hpp"
 #include "codar/cli/driver.hpp"
-#include "codar/service/json.hpp"
+#include "codar/common/json.hpp"
+#include "codar/pipeline/device_registry.hpp"
 #include "codar/workloads/suite.hpp"
 
 namespace codar::service {
 namespace {
+
+using common::Json;
+using common::json_quote;
 
 /// Feeds `lines` to run_serve and returns the response lines.
 std::vector<std::string> serve(const ServeOptions& opts,
@@ -99,7 +102,8 @@ TEST(Serve, SuiteRoundTripIsByteIdenticalToBatchAndWarmRerunRoutesNothing) {
   const std::map<std::string, std::string> index = by_id(responses);
 
   // Reference: the one-shot batch driver over the same jobs and options.
-  const arch::Device device = cli::make_device("enfield");
+  const arch::Device device =
+      pipeline::DeviceRegistry::instance().make("enfield");
   const std::vector<cli::RouteReport> reference =
       cli::run_batch(suite, device, sopts.defaults);
   for (std::size_t i = 0; i < suite.size(); ++i) {
