@@ -13,15 +13,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "codar/arch/device_json.hpp"
 #include "codar/pipeline/pipeline.hpp"
 #include "codar/workloads/suite.hpp"
+#include "support/bench_json.hpp"
 
 namespace {
 
@@ -40,16 +39,6 @@ std::string fmt12(double v) {
   return buf;
 }
 
-struct Row {
-  std::string name;
-  int qubits = 0;
-  std::size_t gates = 0;
-  std::size_t swaps_codar = 0, swaps_fid = 0;
-  long long makespan_codar = 0, makespan_fid = 0;
-  double log_esp_codar = 0.0, log_esp_fid = 0.0;
-  double wall_ms = 0.0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -67,7 +56,9 @@ int main(int argc, char** argv) {
 
   const std::vector<workloads::BenchmarkSpec> suite =
       workloads::benchmark_suite();
-  std::vector<Row> rows;
+  bench::BenchJson json;
+  json.set_gated_fields({"swaps_codar", "swaps_fid", "makespan_codar",
+                         "makespan_fid", "log_esp_codar", "log_esp_fid"});
   double total_ms = 0.0;
   int wins = 0, comparisons = 0;
 
@@ -86,63 +77,42 @@ int main(int argc, char** argv) {
 
     for (const workloads::BenchmarkSpec& spec : suite) {
       if (spec.circuit.num_qubits() > device.graph.num_qubits()) continue;
-      Row row;
-      row.name = tag + "/" + spec.name;
-      row.qubits = spec.circuit.used_qubit_count();
-      row.gates = spec.circuit.size();
+      const std::string name = tag + "/" + spec.name;
       const Clock::time_point start = Clock::now();
       const pipeline::RouteReport a = plain.run(spec.circuit);
       const pipeline::RouteReport b = aware.run(spec.circuit);
-      row.wall_ms = ms_since(start);
+      const double wall_ms = ms_since(start);
       if (!a.ok() || !b.ok()) {
-        std::cerr << "error: " << row.name << " failed to route: "
+        std::cerr << "error: " << name << " failed to route: "
                   << (a.ok() ? b.error : a.error) << "\n";
         return 1;
       }
-      row.swaps_codar = a.swaps;
-      row.swaps_fid = b.swaps;
-      row.makespan_codar = static_cast<long long>(a.depth_out);
-      row.makespan_fid = static_cast<long long>(b.depth_out);
-      row.log_esp_codar = a.log_esp;
-      row.log_esp_fid = b.log_esp;
-      total_ms += row.wall_ms;
+      total_ms += wall_ms;
       ++comparisons;
       if (b.log_esp > a.log_esp) ++wins;
-      std::cerr << row.name << ": log-ESP " << fmt12(a.log_esp) << " -> "
+      std::cerr << name << ": log-ESP " << fmt12(a.log_esp) << " -> "
                 << fmt12(b.log_esp) << ", swaps " << a.swaps << " -> "
                 << b.swaps << "\n";
-      rows.push_back(std::move(row));
+      json.add_row()
+          .add("name", name)
+          .add("qubits", spec.circuit.used_qubit_count())
+          .add("gates", spec.circuit.size())
+          .add("swaps_codar", a.swaps)
+          .add("swaps_fid", b.swaps)
+          .add("makespan_codar", static_cast<long long>(a.depth_out))
+          .add("makespan_fid", static_cast<long long>(b.depth_out))
+          .raw("log_esp_codar", fmt12(a.log_esp))
+          .raw("log_esp_fid", fmt12(b.log_esp))
+          .add("wall_ms", wall_ms);
     }
   }
 
-  std::ostringstream json;
-  json << "{\"gated_fields\": [\"swaps_codar\", \"swaps_fid\", "
-          "\"makespan_codar\", \"makespan_fid\", \"log_esp_codar\", "
-          "\"log_esp_fid\"],\n \"results\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    if (i > 0) json << ",";
-    json << "\n  {\"name\": \"" << r.name << "\", \"qubits\": " << r.qubits
-         << ", \"gates\": " << r.gates
-         << ", \"swaps_codar\": " << r.swaps_codar
-         << ", \"swaps_fid\": " << r.swaps_fid
-         << ", \"makespan_codar\": " << r.makespan_codar
-         << ", \"makespan_fid\": " << r.makespan_fid
-         << ", \"log_esp_codar\": " << fmt12(r.log_esp_codar)
-         << ", \"log_esp_fid\": " << fmt12(r.log_esp_fid)
-         << ", \"wall_ms\": " << r.wall_ms << "}";
-  }
-  json << "\n ],\n \"summary\": {\"benchmarks\": " << rows.size()
-       << ", \"esp_wins\": " << wins
-       << ", \"comparisons\": " << comparisons
-       << ", \"total_wall_ms\": " << total_ms << "}}\n";
-
-  std::ofstream out_file(output);
-  if (!out_file) {
-    std::cerr << "error: cannot write " << output << "\n";
-    return 1;
-  }
-  out_file << json.str();
+  json.summary()
+      .add("benchmarks", comparisons)
+      .add("esp_wins", wins)
+      .add("comparisons", comparisons)
+      .add("total_wall_ms", total_ms);
+  if (!json.write(output)) return 1;
   std::cout << "codar-fid beat codar's log-ESP on " << wins << "/"
             << comparisons << " routes -> " << output << "\n";
   return 0;

@@ -9,10 +9,10 @@
 // reverse-traversal initial mapping; wall_ms is the minimum over N repeats
 // (default 3) so one-off scheduler noise doesn't poison the trajectory.
 
+#include <algorithm>
 #include <chrono>
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +20,7 @@
 #include "codar/core/codar_router.hpp"
 #include "codar/sabre/sabre_router.hpp"
 #include "codar/workloads/suite.hpp"
+#include "support/bench_json.hpp"
 
 namespace {
 
@@ -29,16 +30,6 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
 }
-
-struct Row {
-  std::string name;
-  int qubits = 0;
-  std::size_t gates = 0;
-  double wall_ms = 0.0;
-  std::size_t swaps = 0;
-  long long makespan = 0;
-  std::size_t cycles = 0;
-};
 
 }  // namespace
 
@@ -60,57 +51,47 @@ int main(int argc, char** argv) {
   const std::vector<codar::workloads::BenchmarkSpec> suite =
       codar::workloads::benchmark_suite();
 
-  std::vector<Row> rows;
-  rows.reserve(suite.size());
+  codar::bench::BenchJson json;
+  json.header().add("device", device.name).add("repeat", repeat);
   double total_ms = 0.0;
   std::size_t total_swaps = 0;
 
   for (const codar::workloads::BenchmarkSpec& spec : suite) {
     const codar::layout::Layout initial =
         mapper.initial_mapping(spec.circuit, /*rounds=*/2, /*seed=*/17);
-    Row row;
-    row.name = spec.name;
-    row.qubits = spec.circuit.used_qubit_count();
-    row.gates = spec.circuit.size();
-    row.wall_ms = -1.0;
+    double wall_ms = -1.0;
+    std::size_t swaps = 0;
+    long long makespan = 0;
+    std::size_t cycles = 0;
     for (int r = 0; r < repeat; ++r) {
       const Clock::time_point start = Clock::now();
       const codar::core::RoutingResult result =
           router.route(spec.circuit, initial);
       const double elapsed = ms_since(start);
-      if (row.wall_ms < 0.0 || elapsed < row.wall_ms) row.wall_ms = elapsed;
-      row.swaps = result.stats.swaps_inserted;
-      row.makespan = static_cast<long long>(result.stats.router_makespan);
-      row.cycles = result.stats.cycles_simulated;
+      if (wall_ms < 0.0 || elapsed < wall_ms) wall_ms = elapsed;
+      swaps = result.stats.swaps_inserted;
+      makespan = static_cast<long long>(result.stats.router_makespan);
+      cycles = result.stats.cycles_simulated;
     }
-    total_ms += row.wall_ms;
-    total_swaps += row.swaps;
-    std::cerr << row.name << ": " << row.wall_ms << " ms, " << row.swaps
+    total_ms += wall_ms;
+    total_swaps += swaps;
+    std::cerr << spec.name << ": " << wall_ms << " ms, " << swaps
               << " swaps\n";
-    rows.push_back(std::move(row));
+    json.add_row()
+        .add("name", spec.name)
+        .add("qubits", spec.circuit.used_qubit_count())
+        .add("gates", spec.circuit.size())
+        .add("wall_ms", wall_ms)
+        .add("swaps", swaps)
+        .add("makespan", makespan)
+        .add("cycles", cycles);
   }
+  json.summary()
+      .add("benchmarks", suite.size())
+      .add("total_wall_ms", total_ms)
+      .add("total_swaps", total_swaps);
 
-  std::ostringstream json;
-  json << "{\"device\": \"" << device.name << "\", \"repeat\": " << repeat
-       << ",\n \"results\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    if (i > 0) json << ",";
-    json << "\n  {\"name\": \"" << r.name << "\", \"qubits\": " << r.qubits
-         << ", \"gates\": " << r.gates << ", \"wall_ms\": " << r.wall_ms
-         << ", \"swaps\": " << r.swaps << ", \"makespan\": " << r.makespan
-         << ", \"cycles\": " << r.cycles << "}";
-  }
-  json << "\n ],\n \"summary\": {\"benchmarks\": " << rows.size()
-       << ", \"total_wall_ms\": " << total_ms
-       << ", \"total_swaps\": " << total_swaps << "}}\n";
-
-  std::ofstream file(output);
-  if (!file) {
-    std::cerr << "error: cannot write " << output << "\n";
-    return 1;
-  }
-  file << json.str();
+  if (!json.write(output)) return 1;
   std::cout << "suite routed in " << total_ms << " ms (min-of-" << repeat
             << " per benchmark) -> " << output << "\n";
   return 0;

@@ -14,15 +14,14 @@
 // the regression net for that backend.
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "codar/arch/device.hpp"
 #include "codar/core/codar_router.hpp"
 #include "codar/workloads/generators.hpp"
+#include "support/bench_json.hpp"
 
 namespace {
 
@@ -37,16 +36,6 @@ struct Workload {
   std::string name;
   codar::arch::Device device;
   codar::ir::Circuit circuit;
-};
-
-struct Row {
-  std::string name;
-  int qubits = 0;
-  std::size_t gates = 0;
-  double wall_ms = 0.0;
-  std::size_t swaps = 0;
-  long long makespan = 0;
-  std::size_t cycles = 0;
 };
 
 }  // namespace
@@ -72,8 +61,10 @@ int main(int argc, char** argv) {
   sweep.push_back({"grid50x50_rand_100k", arch::grid(50, 50),
                    workloads::random_circuit(2500, 100'000, 0.5, 24)});
 
-  std::vector<Row> rows;
-  rows.reserve(sweep.size());
+  bench::BenchJson json;
+  json.header()
+      .add("device", "scaling sweep (grids up to 50x50)")
+      .add("repeat", 1);
   double total_ms = 0.0;
   std::size_t total_swaps = 0;
 
@@ -82,45 +73,31 @@ int main(int argc, char** argv) {
     // is route() throughput, and the oracle is built once per device.
     w.device.graph.prepare();
     const core::CodarRouter router(w.device);
-    Row row;
-    row.name = w.name;
-    row.qubits = w.device.graph.num_qubits();
-    row.gates = w.circuit.size();
     const Clock::time_point start = Clock::now();
     const core::RoutingResult result = router.route(w.circuit);
-    row.wall_ms = ms_since(start);
-    row.swaps = result.stats.swaps_inserted;
-    row.makespan = static_cast<long long>(result.stats.router_makespan);
-    row.cycles = result.stats.cycles_simulated;
-    total_ms += row.wall_ms;
-    total_swaps += row.swaps;
-    std::cerr << row.name << ": " << row.wall_ms << " ms, " << row.swaps
+    const double wall_ms = ms_since(start);
+    const std::size_t swaps = result.stats.swaps_inserted;
+    total_ms += wall_ms;
+    total_swaps += swaps;
+    std::cerr << w.name << ": " << wall_ms << " ms, " << swaps
               << " swaps\n";
-    rows.push_back(std::move(row));
+    json.add_row()
+        .add("name", w.name)
+        .add("qubits", w.device.graph.num_qubits())
+        .add("gates", w.circuit.size())
+        .add("wall_ms", wall_ms)
+        .add("swaps", swaps)
+        .add("makespan",
+             static_cast<long long>(result.stats.router_makespan))
+        .add("cycles", result.stats.cycles_simulated);
   }
+  json.summary()
+      .add("benchmarks", sweep.size())
+      .add("total_wall_ms", total_ms)
+      .add("total_swaps", total_swaps);
 
-  std::ostringstream json;
-  json << "{\"device\": \"scaling sweep (grids up to 50x50)\","
-       << " \"repeat\": 1,\n \"results\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    if (i > 0) json << ",";
-    json << "\n  {\"name\": \"" << r.name << "\", \"qubits\": " << r.qubits
-         << ", \"gates\": " << r.gates << ", \"wall_ms\": " << r.wall_ms
-         << ", \"swaps\": " << r.swaps << ", \"makespan\": " << r.makespan
-         << ", \"cycles\": " << r.cycles << "}";
-  }
-  json << "\n ],\n \"summary\": {\"benchmarks\": " << rows.size()
-       << ", \"total_wall_ms\": " << total_ms
-       << ", \"total_swaps\": " << total_swaps << "}}\n";
-
-  std::ofstream out(output);
-  if (!out.is_open()) {
-    std::cerr << "cannot write " << output << "\n";
-    return 1;
-  }
-  out << json.str();
-  std::cout << "wrote " << output << " (" << rows.size() << " workloads, "
+  if (!json.write(output)) return 1;
+  std::cout << "wrote " << output << " (" << sweep.size() << " workloads, "
             << total_ms << " ms total)\n";
   return 0;
 }

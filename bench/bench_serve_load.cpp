@@ -28,11 +28,9 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +41,7 @@
 #include "codar/service/server.hpp"
 #include "codar/service/transport.hpp"
 #include "codar/workloads/suite.hpp"
+#include "support/bench_json.hpp"
 
 namespace {
 
@@ -195,7 +194,13 @@ int main(int argc, char** argv) {
     inline_devices.push_back(one_line(codar::arch::device_to_json(dev)));
   }
 
-  std::ostringstream rows_json;
+  codar::bench::BenchJson json;
+  json.header()
+      .add("clients", clients)
+      .add("requests_per_client", requests)
+      .add("seed", seed);
+  json.set_gated_fields({"requests", "routed", "errors", "cache_hits",
+                         "cache_misses", "disk_hits"});
   double total_wall_ms = 0.0;
   std::uint64_t total_requests = 0;
   bool healthy = true;
@@ -299,7 +304,6 @@ int main(int argc, char** argv) {
       (std::filesystem::temp_directory_path() /
        ("codar_serve_bench_cache_" + std::to_string(::getpid())))
           .string();
-  bool first_row = true;
   for (std::size_t m = 0; m < kMixCount; ++m) {
     const Mix mix = mixes[m];
 
@@ -392,42 +396,31 @@ int main(int argc, char** argv) {
 
     total_wall_ms += row.wall_ms;
     total_requests += row.requests;
-    if (!first_row) rows_json << ",";
-    first_row = false;
-    rows_json << "\n  {\"name\": \"" << row.name
-              << "\", \"requests\": " << row.requests
-              << ", \"routed\": " << row.routed
-              << ", \"errors\": " << row.errors
-              << ", \"cache_hits\": " << row.cache_hits
-              << ", \"cache_misses\": " << row.cache_misses
-              << ", \"disk_hits\": " << row.disk_hits
-              << ", \"cache_entries\": " << row.cache_entries
-              << ", \"throughput_rps\": " << row.throughput_rps
-              << ", \"p50_ms\": " << row.p50_ms
-              << ", \"p95_ms\": " << row.p95_ms
-              << ", \"p99_ms\": " << row.p99_ms
-              << ", \"wall_ms\": " << row.wall_ms << "}";
+    json.add_row()
+        .add("name", row.name)
+        .add("requests", row.requests)
+        .add("routed", row.routed)
+        .add("errors", row.errors)
+        .add("cache_hits", row.cache_hits)
+        .add("cache_misses", row.cache_misses)
+        .add("disk_hits", row.disk_hits)
+        .add("cache_entries", row.cache_entries)
+        .add("throughput_rps", row.throughput_rps)
+        .add("p50_ms", row.p50_ms)
+        .add("p95_ms", row.p95_ms)
+        .add("p99_ms", row.p99_ms)
+        .add("wall_ms", row.wall_ms);
   }
   {
     std::error_code ec;
     std::filesystem::remove_all(cache_dir, ec);
   }
 
-  std::ostringstream json;
-  json << "{\"clients\": " << clients
-       << ", \"requests_per_client\": " << requests << ", \"seed\": " << seed
-       << ",\n \"gated_fields\": [\"requests\", \"routed\", \"errors\", "
-          "\"cache_hits\", \"cache_misses\", \"disk_hits\"],\n \"results\": ["
-       << rows_json.str() << "\n ],\n \"summary\": {\"mixes\": 4"
-       << ", \"total_requests\": " << total_requests
-       << ", \"total_wall_ms\": " << total_wall_ms << "}}\n";
-
-  std::ofstream file(output);
-  if (!file) {
-    std::cerr << "error: cannot write " << output << "\n";
-    return 1;
-  }
-  file << json.str();
+  json.summary()
+      .add("mixes", kMixCount)
+      .add("total_requests", total_requests)
+      .add("total_wall_ms", total_wall_ms);
+  if (!json.write(output)) return 1;
   std::cout << total_requests << " requests across 4 mixes in "
             << total_wall_ms << " ms -> " << output << "\n";
   return healthy ? 0 : 1;

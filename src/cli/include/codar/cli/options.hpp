@@ -5,25 +5,22 @@
 // statistics and a multi-threaded batch mode (directory of .qasm files, or
 // the built-in 71-benchmark suite).
 //
-// Router and initial-mapping selection is string-keyed through the
-// pipeline registries: `--router`/`--initial` validate against the
-// registered names, `--list-routers`/`--list-mappings` enumerate them, and
-// pass-specific knob flags (the CODAR ablation switches, --seed,
-// --mapping-rounds) are parsed by the hooks the passes registered — a new
-// pass never needs a CLI edit.
+// Router and initial-mapping selection is by name from the pipeline's
+// fixed tables (pipeline::kRouters / kMappings): `--router`/`--initial`
+// validate against them and `--list-routers`/`--list-mappings` print
+// them. parse_routing_flag owns every routing knob flag.
 
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "codar/pipeline/registry.hpp"
 #include "codar/pipeline/spec.hpp"
 
 namespace codar::cli {
 
 /// Raised on malformed command lines; `what()` is the message to print
 /// (the caller appends the usage text). Shared with the pipeline layer so
-/// registry lookups and knob hooks throw the same type the CLI catches.
+/// its name checks throw the same type the CLI catches.
 using UsageError = pipeline::UsageError;
 
 /// The routing-relevant core (router/mapping names, knobs, verify,
@@ -52,14 +49,16 @@ struct Options : pipeline::RoutingSpec {
 Options parse_args(const std::vector<std::string>& args);
 
 /// Shared option plumbing for every subcommand: tries to consume one
-/// routing-related flag into `opts` — the generic selection flags
-/// (--device/--router/--initial/--threads/--no-verify/--timing/--peephole)
-/// plus any knob flag claimed by a registered pass's parsing hook.
-/// `value` must yield the flag's argument (and may throw UsageError when
-/// none is left). Returns false when `arg` is not a routing flag, so the
-/// caller can handle its own mode/I-O flags. Used by parse_args and by
-/// `codar serve`, whose requests default to the flags given on the serve
-/// command line.
+/// routing-related flag into `opts` — the selection flags
+/// (--device/--router/--initial/--threads/--no-verify/--timing/--peephole),
+/// the CODAR ablation switches (--no-context ... --window, --stagnation),
+/// the codar-fid weights (--alpha/--beta/--gamma) and the initial-mapping
+/// knobs (--seed, --mapping-rounds). Integer values are range-checked
+/// before they are narrowed to int. `value` must yield the flag's
+/// argument (and may throw UsageError when none is left). Returns false
+/// when `arg` is not a routing flag, so the caller can handle its own
+/// mode/I-O flags. Used by parse_args and by `codar serve`, whose requests
+/// default to the flags given on the serve command line.
 bool parse_routing_flag(Options& opts, const std::string& arg,
                         const std::function<std::string()>& value);
 

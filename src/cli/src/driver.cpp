@@ -7,10 +7,11 @@
 #include <fstream>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <thread>
 
 #include "codar/pipeline/device_registry.hpp"
-#include "codar/pipeline/registry.hpp"
+#include "codar/pipeline/pipeline.hpp"
 #include "codar/qasm/parser.hpp"
 
 namespace codar::cli {
@@ -207,20 +208,14 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
       return 2;
     }
   }
-  if (opts.list_routers) {
-    for (const pipeline::RouterEntry& entry :
-         pipeline::RouterRegistry::instance().entries()) {
-      out << entry.name << "\t" << entry.description << "\n";
+  auto list = [&out](std::span<const pipeline::PassInfo> table) {
+    for (const pipeline::PassInfo& pass : table) {
+      out << pass.name << "\t" << pass.description << "\n";
     }
     return 0;
-  }
-  if (opts.list_mappings) {
-    for (const pipeline::MappingEntry& entry :
-         pipeline::MappingRegistry::instance().entries()) {
-      out << entry.name << "\t" << entry.description << "\n";
-    }
-    return 0;
-  }
+  };
+  if (opts.list_routers) return list(pipeline::kRouters);
+  if (opts.list_mappings) return list(pipeline::kMappings);
   try {
     const arch::Device device =
         pipeline::DeviceRegistry::instance().make(opts.device);

@@ -1,42 +1,96 @@
 #include "codar/cli/options.hpp"
 
+#include <charconv>
+#include <climits>
+#include <cmath>
+
+#include "codar/pipeline/pipeline.hpp"
+
 namespace codar::cli {
+
+namespace {
+
+long long integer_value(const std::string& flag, const std::string& value) {
+  long long result = 0;
+  const auto [ptr, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), result);
+  if (ec != std::errc() || ptr != value.data() + value.size()) {
+    throw UsageError(flag + " expects an integer, got '" + value + "'");
+  }
+  return result;
+}
+
+/// An int flag in [lo, INT_MAX], checked before the narrowing cast so an
+/// out-of-range value is an error instead of a silent wrap.
+int int_value(const std::string& flag, const std::string& value,
+              long long lo) {
+  const long long n = integer_value(flag, value);
+  if (n < lo) throw UsageError(flag + " must be >= " + std::to_string(lo));
+  if (n > INT_MAX) {
+    throw UsageError(flag + " must be <= " + std::to_string(INT_MAX));
+  }
+  return static_cast<int>(n);
+}
+
+/// A weight flag: a finite number ("inf"/"nan" are rejected, since the
+/// bit pattern feeds the options fingerprint), >= 0 when `nonnegative`.
+double weight_value(const std::string& flag, const std::string& value,
+                    bool nonnegative) {
+  double result = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), result);
+  if (ec != std::errc() || ptr != value.data() + value.size() ||
+      !std::isfinite(result)) {
+    throw UsageError(flag + " expects a finite number, got '" + value + "'");
+  }
+  if (nonnegative && result < 0.0) throw UsageError(flag + " must be >= 0");
+  return result;
+}
+
+}  // namespace
 
 bool parse_routing_flag(Options& opts, const std::string& arg,
                         const std::function<std::string()>& value) {
   if (arg == "--device" || arg == "-d") {
     opts.device = value();
   } else if (arg == "--router" || arg == "-r") {
-    // Validate eagerly so a typo fails at parse time with the registered
+    // Validate eagerly so a typo fails at parse time with the known
     // names, not at route time.
-    opts.router = pipeline::RouterRegistry::instance().at(value()).name;
+    opts.router = pipeline::router_named(value()).name;
   } else if (arg == "--initial") {
-    opts.mapping = pipeline::MappingRegistry::instance().at(value()).name;
+    opts.mapping = pipeline::mapping_named(value()).name;
   } else if (arg == "--threads" || arg == "-j") {
-    opts.threads = static_cast<int>(pipeline::knob_int(arg, value()));
-    if (opts.threads < 0) throw UsageError("--threads must be >= 0");
-  } else if (arg == "--set") {
-    // Free-form knob for externally registered passes (see
-    // RoutingSpec::extras); built-in knobs have dedicated flags.
-    const std::string kv = value();
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw UsageError("--set expects KEY=VALUE, got '" + kv + "'");
-    }
-    opts.set_extra(kv.substr(0, eq), kv.substr(eq + 1));
+    opts.threads = int_value(arg, value(), 0);
   } else if (arg == "--no-verify") {
     opts.verify = false;
   } else if (arg == "--timing") {
     opts.timing = true;
   } else if (arg == "--peephole") {
     opts.peephole = true;
+  } else if (arg == "--no-context") {
+    opts.codar.context_aware = false;
+  } else if (arg == "--no-duration") {
+    opts.codar.duration_aware = false;
+  } else if (arg == "--no-commutativity") {
+    opts.codar.commutativity_aware = false;
+  } else if (arg == "--no-fine-priority") {
+    opts.codar.fine_priority = false;
+  } else if (arg == "--window") {
+    opts.codar.front_window = int_value(arg, value(), INT_MIN);
+  } else if (arg == "--stagnation") {
+    opts.codar.stagnation_threshold = int_value(arg, value(), 1);
+  } else if (arg == "--alpha") {
+    opts.fid.alpha = weight_value(arg, value(), false);
+  } else if (arg == "--beta") {
+    opts.fid.beta = weight_value(arg, value(), true);
+  } else if (arg == "--gamma") {
+    opts.fid.gamma = weight_value(arg, value(), true);
+  } else if (arg == "--seed") {
+    opts.seed = static_cast<std::uint64_t>(integer_value(arg, value()));
+  } else if (arg == "--mapping-rounds") {
+    opts.mapping_rounds = int_value(arg, value(), 1);
   } else {
-    // Pass-specific knobs (--no-context, --window, --seed, ...) belong to
-    // whichever registered pass claimed them.
-    return pipeline::RouterRegistry::instance().parse_knob(opts, arg,
-                                                           value) ||
-           pipeline::MappingRegistry::instance().parse_knob(opts, arg,
-                                                            value);
+    return false;
   }
   return true;
 }
@@ -108,7 +162,7 @@ usage:
                                      cache (see codar serve --help)
   codar --list-devices               print every device spec
   codar --describe-device SPEC       print one device's shape + fingerprint
-  codar --list-routers               print every registered routing pass
+  codar --list-routers               print every routing pass
   codar --list-mappings              print every initial-mapping strategy
 
 modes and I/O:
@@ -126,10 +180,8 @@ routing:
   -r, --router NAME     routing pass (default codar); see --list-routers
       --initial NAME    initial mapping (default sabre); see --list-mappings
       --seed N          initial-mapping RNG seed (default 17)
-      --mapping-rounds N  SABRE reverse-traversal rounds (default 3)
+      --mapping-rounds N  SABRE reverse-traversal rounds (default 3; >= 1)
       --peephole        run the peephole cleanup pass before routing
-      --set KEY=VALUE   free-form knob for externally registered passes
-                        (read via RoutingSpec::extra; cache-key relevant)
       --no-verify       skip the routing verifier
       --timing          add per-route and per-stage wall times (route_us,
                         stage_us) to the JSON stats; off by default so

@@ -12,8 +12,8 @@
 //   codar::pipeline::Pipeline pipe(device, spec);
 //   codar::pipeline::RouteReport report = pipe.run(circuit);
 //
-// The preferred compilation API is codar::pipeline (polymorphic passes,
-// string-keyed registries, the composable Pipeline); the per-module
+// The preferred compilation API is codar::pipeline (routers and initial
+// mappings chosen by name, the composable Pipeline); the per-module
 // headers below remain public for code that wants a specific router or
 // building block directly.
 
@@ -82,11 +82,10 @@
 #include "codar/workloads/generators.hpp"
 #include "codar/workloads/suite.hpp"
 
-// The unified compilation API: passes, registries, pipeline.
+// The unified compilation API: the router/mapping tables, the device
+// registry, the pipeline.
 #include "codar/pipeline/device_registry.hpp"
 #include "codar/pipeline/pipeline.hpp"
-#include "codar/pipeline/registry.hpp"
-#include "codar/pipeline/routing_pass.hpp"
 #include "codar/pipeline/spec.hpp"
 
 // Persistent route-report store (crash-safe append-only log).

@@ -1,17 +1,16 @@
 #pragma once
 
-// String-keyed device factory registry, the device-side sibling of
-// RouterRegistry/MappingRegistry: each entry carries a name, a display
-// spec, a one-line description and a factory, so adding a device means
-// registering one entry — the CLI (`--device`, `--list-devices`), the
-// serve protocol and the batch driver all pick it up without edits.
+// String-keyed device factory registry: each entry carries a name, a
+// display spec, a one-line description and a factory, so adding a device
+// means registering one entry — the CLI (`--device`, `--list-devices`),
+// the serve protocol and the batch driver all pick it up without edits.
 //
 // Specs are either a bare name (`tokyo`, with aliases like `q20`) or a
 // parameterized `name:ARG` form (`grid:4x5`, `linear:16`,
 // `file:devices/tokyo.json`); the text before the first ':' selects the
 // entry, the rest is handed to its factory. Unknown specs throw
-// UsageError listing every registered spec, exactly as unknown routers
-// and mappings do.
+// UsageError listing every registered spec, the same shape as the
+// unknown router and mapping errors.
 //
 // The built-in devices self-register the first time the registry is used
 // (instance() runs their registration exactly once, thread-safely); user

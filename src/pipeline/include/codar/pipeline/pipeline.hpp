@@ -8,17 +8,102 @@
 // keeps their outputs byte-identical (the serve differential test locks
 // the JSON rendering of these reports against batch output).
 
-#include <memory>
+#include <array>
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "codar/arch/device.hpp"
+#include "codar/astar/astar_router.hpp"
+#include "codar/core/codar_router.hpp"
+#include "codar/core/routing_result.hpp"
 #include "codar/ir/circuit.hpp"
-#include "codar/pipeline/registry.hpp"
-#include "codar/pipeline/routing_pass.hpp"
+#include "codar/layout/layout.hpp"
 #include "codar/pipeline/spec.hpp"
+#include "codar/sabre/sabre_router.hpp"
 
 namespace codar::pipeline {
+
+/// One selectable pass: the name a RoutingSpec uses (also the JSON stats
+/// name) and the line `--list-routers` / `--list-mappings` print.
+struct PassInfo {
+  std::string_view name;
+  std::string_view description;
+};
+
+/// The routers, in listing order. The set is closed: the paper compares
+/// CODAR against exactly these baselines.
+inline constexpr std::array<PassInfo, 4> kRouters = {{
+    {"codar",
+     "contextual duration-aware remapper (the paper's router, DAC 2020)"},
+    {"codar-fid",
+     "codar with fidelity-aware SWAP scoring "
+     "(alpha*distance + beta*log-fidelity + gamma*decoherence)"},
+    {"sabre",
+     "SWAP-based bidirectional heuristic baseline (ASPLOS 2019), "
+     "duration-blind"},
+    {"astar", "layered A*-search baseline (TCAD 2019), duration-blind"},
+}};
+
+/// The initial-mapping strategies, in listing order.
+inline constexpr std::array<PassInfo, 3> kMappings = {{
+    {"identity", "pi(q) = q (no placement)"},
+    {"greedy", "interaction-graph greedy placement, deterministic"},
+    {"sabre", "SABRE reverse-traversal refinement (the paper's protocol)"},
+}};
+
+/// The kRouters / kMappings entry called `name`. Throws UsageError naming
+/// the whole table otherwise, e.g. "unknown router 'qiskit' (expected
+/// codar|codar-fid|sabre|astar)".
+const PassInfo& router_named(std::string_view name);
+const PassInfo& mapping_named(std::string_view name);
+
+/// The routing pass a spec names, built for one device. route() is const
+/// and keeps no state between calls, so one Router may serve many threads.
+class Router {
+ public:
+  /// Throws UsageError for an unknown spec.router, or for a negative
+  /// codar-fid beta/gamma.
+  Router(const arch::Device& device, const RoutingSpec& spec);
+
+  std::string_view name() const { return name_; }
+
+  /// Routes `circuit` (lowered to <=2-qubit gates, used qubits fitting the
+  /// device) starting from `initial`.
+  core::RoutingResult route(const ir::Circuit& circuit,
+                            const layout::Layout& initial) const;
+
+ private:
+  /// codar and codar-fid share CodarRouter; codar-fid differs only in the
+  /// config it is built with.
+  using Impl =
+      std::variant<core::CodarRouter, sabre::SabreRouter, astar::AstarRouter>;
+  static Impl make(const arch::Device& device, const RoutingSpec& spec);
+
+  std::string_view name_;
+  Impl impl_;
+};
+
+/// The initial-mapping strategy a spec names, with the seed and round
+/// count the sabre strategy uses.
+class Mapping {
+ public:
+  /// Throws UsageError for an unknown spec.mapping.
+  explicit Mapping(const RoutingSpec& spec);
+
+  std::string_view name() const { return name_; }
+
+  /// Chooses the initial layout π for `circuit` on `device`.
+  layout::Layout choose(const ir::Circuit& circuit,
+                        const arch::Device& device) const;
+
+ private:
+  std::string_view name_;
+  int rounds_;
+  std::uint64_t seed_;
+};
 
 /// Wall time of one pipeline stage, microseconds. Nondeterministic by
 /// nature: the JSON rendering only includes stage timings when the caller
@@ -66,15 +151,13 @@ struct RouteReport {
   bool ok() const { return error.empty() && (verified || verify_skipped); }
 };
 
-/// A resolved compilation pipeline: the router and initial-mapping passes
-/// named by the spec, looked up in the registries and constructed for one
-/// device. Construction validates the names (UsageError lists the
-/// registered ones). run() is const and share-nothing per call, so one
-/// Pipeline may serve many threads — the batch driver builds one per job
-/// instead only because that is what the pre-registry code did.
+/// A resolved compilation pipeline: the router and initial mapping named
+/// by the spec, constructed for one device. Construction validates the
+/// names (UsageError lists the known ones). run() is const and
+/// share-nothing per call, so one Pipeline may serve many threads.
 class Pipeline {
  public:
-  /// `device` must outlive the Pipeline (passes copy their own device
+  /// `device` must outlive the Pipeline (the router copies its own device
   /// model, but the pipeline reads graph/durations per run).
   Pipeline(const arch::Device& device, const RoutingSpec& spec);
 
@@ -83,15 +166,15 @@ class Pipeline {
   /// `keep_qasm` enables the final render stage (report.routed_qasm).
   RouteReport run(const ir::Circuit& circuit, bool keep_qasm = false) const;
 
-  const RoutingPass& router() const { return *router_; }
-  const MappingPass& mapping() const { return *mapping_; }
+  const Router& router() const { return router_; }
+  const Mapping& mapping() const { return mapping_; }
   const RoutingSpec& spec() const { return spec_; }
 
  private:
   const arch::Device* device_;
   RoutingSpec spec_;
-  std::unique_ptr<RoutingPass> router_;
-  std::unique_ptr<MappingPass> mapping_;
+  Router router_;
+  Mapping mapping_;
 };
 
 }  // namespace codar::pipeline

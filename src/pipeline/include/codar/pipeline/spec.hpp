@@ -1,8 +1,8 @@
 #pragma once
 
-// The device-independent description of one compilation: which routing
-// pass and initial-mapping strategy to run (by registry name — see
-// registry.hpp) plus every knob that can change a routed result. This is
+// The device-independent description of one compilation: which router
+// and initial-mapping strategy to run (by name — see kRouters/kMappings
+// in pipeline.hpp) plus every knob that can change a routed result. This is
 // the library-level core of the CLI's Options struct; `codar` and
 // `codar serve` both overlay their I/O and presentation fields on top of
 // it (cli::Options derives from RoutingSpec).
@@ -10,8 +10,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "codar/core/codar_router.hpp"
 
@@ -27,11 +25,11 @@ class UsageError : public std::runtime_error {
 };
 
 /// Everything a Pipeline needs to know besides the device and the circuit.
-/// Router and mapping are registry names, validated when the Pipeline is
+/// Router and mapping are table names, validated when the Pipeline is
 /// built (or eagerly by the flag/request parsers).
 struct RoutingSpec {
-  std::string router = "codar";    ///< RouterRegistry name.
-  std::string mapping = "sabre";   ///< MappingRegistry name.
+  std::string router = "codar";    ///< A kRouters name.
+  std::string mapping = "sabre";   ///< A kMappings name.
   core::CodarConfig codar;         ///< CODAR feature toggles / ablations.
   std::uint64_t seed = 17;         ///< Initial-mapping RNG seed.
   int mapping_rounds = 3;          ///< SABRE reverse-traversal rounds.
@@ -49,37 +47,6 @@ struct RoutingSpec {
     double gamma = 1.0;  ///< Weight of the SWAP-duration decoherence term.
   };
   FidWeights fid;
-
-  /// Free-form knobs for externally registered passes, which have no
-  /// dedicated field above: their factories read values from here. Fed by
-  /// `--set KEY=VALUE` on the CLI and the `"extras"` object in serve
-  /// requests, and folded into the route-cache options fingerprint — so a
-  /// third-party knob is cache-correct without touching either front end.
-  /// Kept sorted by key (set_extra) so the fingerprint is canonical.
-  std::vector<std::pair<std::string, std::string>> extras;
-
-  /// Inserts or replaces `key`, keeping `extras` sorted.
-  void set_extra(const std::string& key, std::string value) {
-    for (auto it = extras.begin(); it != extras.end(); ++it) {
-      if (it->first == key) {
-        it->second = std::move(value);
-        return;
-      }
-      if (it->first > key) {
-        extras.insert(it, {key, std::move(value)});
-        return;
-      }
-    }
-    extras.emplace_back(key, std::move(value));
-  }
-
-  /// Value for `key`, or nullptr when unset.
-  const std::string* extra(const std::string& key) const {
-    for (const auto& [k, v] : extras) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
 };
 
 }  // namespace codar::pipeline

@@ -1,19 +1,15 @@
 #pragma once
 
-// Internal wiring between the registry singletons and the built-in pass
-// adapters. Each builtin_*.cpp file registers its own passes through one
-// of these hooks; RouterRegistry/MappingRegistry::instance() calls them
-// exactly once. Keeping the calls explicit (instead of file-scope
-// registrar statics) makes registration order deterministic and immune to
-// static-library dead-stripping.
+// Internal wiring between DeviceRegistry::instance() and the built-in
+// device catalog in builtin_devices.cpp, which it calls exactly once.
+// Keeping the call explicit (instead of a file-scope registrar static)
+// makes registration order deterministic and immune to static-library
+// dead-stripping.
 
 #include "codar/pipeline/device_registry.hpp"
-#include "codar/pipeline/registry.hpp"
 
 namespace codar::pipeline::detail {
 
-void register_builtin_routers(RouterRegistry& registry);
-void register_builtin_mappings(MappingRegistry& registry);
 void register_builtin_devices(DeviceRegistry& registry);
 
 }  // namespace codar::pipeline::detail

@@ -68,7 +68,7 @@ std::string DeviceRegistry::specs() const {
 
 DeviceRegistry& DeviceRegistry::instance() {
   // Magic static: built (and the builtins registered) exactly once, in a
-  // thread-safe way, on first use — same pattern as RouterRegistry.
+  // thread-safe way, on first use.
   static DeviceRegistry& reg = *[] {
     auto* r = new DeviceRegistry();
     detail::register_builtin_devices(*r);

@@ -1,20 +1,39 @@
 #include "codar/pipeline/pipeline.hpp"
 
 #include <chrono>
+#include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "codar/core/verify.hpp"
 #include "codar/cost/fidelity_model.hpp"
+#include "codar/cost/swap_cost.hpp"
 #include "codar/ir/decompose.hpp"
 #include "codar/ir/peephole.hpp"
+#include "codar/layout/initial_mapping.hpp"
 #include "codar/qasm/writer.hpp"
 #include "codar/schedule/scheduler.hpp"
 
 namespace codar::pipeline {
 
 namespace {
+
+const PassInfo& named(std::span<const PassInfo> table, std::string_view kind,
+                      std::string_view name) {
+  for (const PassInfo& pass : table) {
+    if (pass.name == name) return pass;
+  }
+  std::string expected;
+  for (const PassInfo& pass : table) {
+    if (!expected.empty()) expected += '|';
+    expected += pass.name;
+  }
+  throw UsageError("unknown " + std::string(kind) + " '" +
+                   std::string(name) + "' (expected " + expected + ")");
+}
 
 /// Shrinks a circuit whose declared register is wider than the device down
 /// to its used qubits (QASM files routinely over-declare).
@@ -48,11 +67,69 @@ void timed_stage(RouteReport& report, const char* stage, Fn&& fn) {
 
 }  // namespace
 
+const PassInfo& router_named(std::string_view name) {
+  return named(kRouters, "router", name);
+}
+
+const PassInfo& mapping_named(std::string_view name) {
+  return named(kMappings, "initial mapping", name);
+}
+
+Router::Router(const arch::Device& device, const RoutingSpec& spec)
+    : name_(router_named(spec.router).name), impl_(make(device, spec)) {}
+
+Router::Impl Router::make(const arch::Device& device,
+                          const RoutingSpec& spec) {
+  if (spec.router == "sabre") {
+    return Impl(std::in_place_type<sabre::SabreRouter>, device);
+  }
+  if (spec.router == "astar") {
+    return Impl(std::in_place_type<astar::AstarRouter>, device);
+  }
+  core::CodarConfig config = spec.codar;
+  if (spec.router == "codar-fid") {
+    // Candidates are priced alpha·H_basic + beta·ln F_swap −
+    // gamma·decoherence (cost::SwapCost). With beta = gamma = 0 no cost
+    // model is installed at all, so codar-fid runs the literal codar code
+    // path: byte-identical output by construction.
+    if (spec.fid.beta < 0.0 || spec.fid.gamma < 0.0) {
+      throw UsageError("--beta/--gamma must be >= 0");
+    }
+    config.alpha = spec.fid.alpha;
+    if (spec.fid.beta != 0.0 || spec.fid.gamma != 0.0) {
+      config.swap_cost = std::make_shared<const cost::SwapCost>(
+          device, spec.fid.beta, spec.fid.gamma);
+    }
+  }
+  return Impl(std::in_place_type<core::CodarRouter>, device,
+              std::move(config));
+}
+
+core::RoutingResult Router::route(const ir::Circuit& circuit,
+                                  const layout::Layout& initial) const {
+  return std::visit(
+      [&](const auto& router) { return router.route(circuit, initial); },
+      impl_);
+}
+
+Mapping::Mapping(const RoutingSpec& spec)
+    : name_(mapping_named(spec.mapping).name),
+      rounds_(spec.mapping_rounds),
+      seed_(spec.seed) {}
+
+layout::Layout Mapping::choose(const ir::Circuit& circuit,
+                               const arch::Device& device) const {
+  if (name_ == "identity") {
+    return layout::Layout(circuit.num_qubits(), device.graph.num_qubits());
+  }
+  if (name_ == "greedy") {
+    return layout::greedy_interaction_layout(circuit, device.graph);
+  }
+  return sabre::SabreRouter(device).initial_mapping(circuit, rounds_, seed_);
+}
+
 Pipeline::Pipeline(const arch::Device& device, const RoutingSpec& spec)
-    : device_(&device),
-      spec_(spec),
-      router_(RouterRegistry::instance().at(spec.router).make(device, spec)),
-      mapping_(MappingRegistry::instance().at(spec.mapping).make(spec)) {}
+    : device_(&device), spec_(spec), router_(device, spec), mapping_(spec) {}
 
 RouteReport Pipeline::run(const ir::Circuit& circuit, bool keep_qasm) const {
   RouteReport report;
@@ -73,16 +150,16 @@ RouteReport Pipeline::run(const ir::Circuit& circuit, bool keep_qasm) const {
     report.gates_in = lowered.size();
     report.depth_in = schedule::weighted_depth(lowered, device_->durations);
 
-    // Stage "initial": the mapping pass chooses π.
+    // Stage "initial": the mapping chooses π.
     std::optional<layout::Layout> initial;
     timed_stage(report, "initial",
-                [&] { initial = mapping_->choose(lowered, *device_); });
+                [&] { initial = mapping_.choose(lowered, *device_); });
 
-    // Stage "route": exactly the routing pass — route_us keeps its
+    // Stage "route": exactly the router — route_us keeps its
     // historical meaning of pure route() wall time.
     std::optional<core::RoutingResult> result;
     timed_stage(report, "route",
-                [&] { result = router_->route(lowered, *initial); });
+                [&] { result = router_.route(lowered, *initial); });
     report.route_us = report.stage_us.back().us;
 
     // Stage "report": fold the router's stats into the report. Runs before

@@ -63,8 +63,8 @@ ServeRequest parse_request(const std::string& line,
 
 /// Fingerprint over every Options field that can change a routed result or
 /// its cached report: router, initial mapping, seed, mapping rounds,
-/// peephole, verify, the CODAR ablation knobs, and the free-form extras
-/// for externally registered passes. Deliberately excludes
+/// peephole, verify, the CODAR ablation knobs and the codar-fid weights.
+/// Deliberately excludes
 /// presentation-only fields (device spec string, timing, threads, paths) —
 /// the device is fingerprinted separately from its content.
 std::uint64_t options_fingerprint(const cli::Options& opts);

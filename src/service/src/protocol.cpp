@@ -1,5 +1,6 @@
 #include "codar/service/protocol.hpp"
 
+#include <climits>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -8,7 +9,7 @@
 #include "codar/common/fnv.hpp"
 #include "codar/common/json.hpp"
 #include "codar/pipeline/device_registry.hpp"
-#include "codar/pipeline/registry.hpp"
+#include "codar/pipeline/pipeline.hpp"
 
 namespace codar::service {
 
@@ -39,6 +40,18 @@ long long require_int(const Json& v, const char* key) {
   return static_cast<long long>(d);
 }
 
+/// require_int for an int field: [lo, INT_MAX] is checked before the
+/// narrowing cast, so 2^32 is an error instead of a silent wrap to 0.
+int require_int_in(const Json& v, const char* key, long long lo) {
+  const long long n = require_int(v, key);
+  if (n < lo) bad(std::string("'") + key + "' must be >= " +
+                  std::to_string(lo));
+  if (n > INT_MAX) {
+    bad(std::string("'") + key + "' must be <= " + std::to_string(INT_MAX));
+  }
+  return static_cast<int>(n);
+}
+
 double require_finite(const Json& v, const char* key) {
   if (!v.is_number()) bad(std::string("'") + key + "' must be a number");
   const double d = v.as_number();
@@ -48,14 +61,14 @@ double require_finite(const Json& v, const char* key) {
   return d;
 }
 
-/// Resolves a router/mapping name against its registry, rewrapping the
-/// registry's UsageError (which lists the registered names) as a
-/// ProtocolError.
-template <typename Registry>
-const std::string& registered_name(const Registry& registry,
-                                   const std::string& name) {
+/// Resolves a router/mapping name through `named` (pipeline::router_named
+/// or mapping_named), rewrapping its UsageError (which lists the known
+/// names) as a ProtocolError.
+std::string_view known_name(
+    const pipeline::PassInfo& (*named)(std::string_view),
+    const std::string& name) {
   try {
-    return registry.at(name).name;
+    return named(name).name;
   } catch (const pipeline::UsageError& e) {
     throw ProtocolError(e.what());
   }
@@ -66,14 +79,12 @@ const std::string& registered_name(const Registry& registry,
 void apply_option(cli::Options& opts, const std::string& key,
                   const Json& v) {
   if (key == "initial") {
-    opts.mapping = registered_name(pipeline::MappingRegistry::instance(),
-                                   require_string(v, "initial"));
+    opts.mapping = known_name(pipeline::mapping_named,
+                              require_string(v, "initial"));
   } else if (key == "seed") {
     opts.seed = static_cast<std::uint64_t>(require_int(v, "seed"));
   } else if (key == "mapping_rounds") {
-    const long long n = require_int(v, "mapping_rounds");
-    if (n < 0) bad("'mapping_rounds' must be >= 0");
-    opts.mapping_rounds = static_cast<int>(n);
+    opts.mapping_rounds = require_int_in(v, "mapping_rounds", 1);
   } else if (key == "peephole") {
     opts.peephole = require_bool(v, "peephole");
   } else if (key == "verify") {
@@ -89,11 +100,9 @@ void apply_option(cli::Options& opts, const std::string& key,
   } else if (key == "fine_priority") {
     opts.codar.fine_priority = require_bool(v, "fine_priority");
   } else if (key == "window") {
-    opts.codar.front_window = static_cast<int>(require_int(v, "window"));
+    opts.codar.front_window = require_int_in(v, "window", INT_MIN);
   } else if (key == "stagnation") {
-    const long long n = require_int(v, "stagnation");
-    if (n < 1) bad("'stagnation' must be >= 1");
-    opts.codar.stagnation_threshold = static_cast<int>(n);
+    opts.codar.stagnation_threshold = require_int_in(v, "stagnation", 1);
   } else if (key == "alpha") {
     opts.fid.alpha = require_finite(v, "alpha");
   } else if (key == "beta") {
@@ -102,17 +111,6 @@ void apply_option(cli::Options& opts, const std::string& key,
   } else if (key == "gamma") {
     opts.fid.gamma = require_finite(v, "gamma");
     if (opts.fid.gamma < 0.0) bad("'gamma' must be >= 0");
-  } else if (key == "extras") {
-    // Free-form knobs for externally registered passes, mirroring the
-    // CLI's --set KEY=VALUE (see RoutingSpec::extras). String values
-    // only, so the fingerprinted representation is unambiguous. The
-    // request's object *replaces* the serve-line defaults wholesale —
-    // per-key merging would leave no way to unset a default knob.
-    if (!v.is_object()) bad("'extras' must be an object");
-    opts.extras.clear();
-    for (const auto& [k, member] : v.members()) {
-      opts.set_extra(k, require_string(member, "extras value"));
-    }
   } else {
     bad("unknown option '" + key + "'");
   }
@@ -217,8 +215,8 @@ ServeRequest parse_request(const std::string& line,
     }
   }
   if (const Json* router = doc.find("router")) {
-    req.opts.router = registered_name(pipeline::RouterRegistry::instance(),
-                                      require_string(*router, "router"));
+    req.opts.router = known_name(pipeline::router_named,
+                                 require_string(*router, "router"));
   }
   if (const Json* options = doc.find("options")) {
     if (!options->is_object()) bad("'options' must be an object");
@@ -252,13 +250,10 @@ std::uint64_t options_fingerprint(const cli::Options& opts) {
   h.f64(opts.fid.alpha);
   h.f64(opts.fid.beta);
   h.f64(opts.fid.gamma);
-  // extras is kept sorted by set_extra, so this is canonical; str() is
-  // length-prefixed, so keys and values cannot alias.
-  h.u64(opts.extras.size());
-  for (const auto& [key, value] : opts.extras) {
-    h.str(key);
-    h.str(value);
-  }
+  // Schema 3 ends with the count of a since-removed free-form knob list,
+  // always 0 for these routers. Hashing the constant keeps every key
+  // written under schema 3 valid, so a persisted --cache-dir still hits.
+  h.u64(0);
   return h.value();
 }
 

@@ -65,20 +65,45 @@ TEST(CliOptions, RejectsBadInput) {
   EXPECT_THROW(parse_args({"-o", "x", "a.qasm", "b.qasm"}), UsageError);
 }
 
-TEST(CliOptions, SetFlagFillsExtras) {
+TEST(CliOptions, SetFlagIsRejected) {
+  // There is no free-form knob store: --set is an unknown flag like any
+  // other.
+  try {
+    parse_args({"--set", "beam=8", "a.qasm"});
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown flag '--set'");
+  }
+}
+
+TEST(CliOptions, IntegerKnobsAreRangeCheckedBeforeNarrowing) {
+  // Values past INT_MAX used to wrap in the int cast: 2^32 + 1 became 1
+  // and 2^32 became 0.
+  for (const char* flag :
+       {"--window", "--stagnation", "--mapping-rounds", "--threads"}) {
+    EXPECT_THROW(parse_args({flag, "4294967297", "a.qasm"}), UsageError)
+        << flag;
+    EXPECT_THROW(parse_args({flag, "4294967296", "a.qasm"}), UsageError)
+        << flag;
+  }
+  // Zero SABRE rounds would fail every route on a router precondition.
+  try {
+    parse_args({"--mapping-rounds", "0", "a.qasm"});
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_EQ(std::string(e.what()), "--mapping-rounds must be >= 1");
+  }
   const Options opts =
-      parse_args({"--set", "beam=8", "--set", "alpha=0.5", "a.qasm"});
-  ASSERT_NE(opts.extra("beam"), nullptr);
-  EXPECT_EQ(*opts.extra("beam"), "8");
-  ASSERT_NE(opts.extra("alpha"), nullptr);
-  EXPECT_EQ(*opts.extra("alpha"), "0.5");
-  EXPECT_THROW(parse_args({"--set", "beam8", "a.qasm"}), UsageError);
-  EXPECT_THROW(parse_args({"--set", "=8", "a.qasm"}), UsageError);
+      parse_args({"--window", "-1", "--stagnation", "2147483647",
+                  "--mapping-rounds", "1", "--threads", "0", "a.qasm"});
+  EXPECT_EQ(opts.codar.front_window, -1);
+  EXPECT_EQ(opts.codar.stagnation_threshold, 2147483647);
+  EXPECT_EQ(opts.mapping_rounds, 1);
+  EXPECT_EQ(opts.threads, 0);
 }
 
 TEST(CliOptions, UnknownRouterAndMappingListRegisteredNames) {
-  // The error messages come from the registries, so a newly registered
-  // pass appears in them without a CLI edit.
+  // The error messages list the pipeline's router and mapping tables.
   try {
     parse_args({"--router", "qiskit", "a.qasm"});
     FAIL() << "expected UsageError";

@@ -1,5 +1,5 @@
 // Tests for the composable compilation pipeline: a round-trip over every
-// registered router × mapping combination, the stage sequence and its
+// router × mapping combination, the stage sequence and its
 // instrumentation, failure reporting, and the JSON contract that stage
 // timings stay out of the stats unless the caller opted in (--timing).
 
@@ -33,18 +33,17 @@ bool has_stage(const RouteReport& report, std::string_view stage) {
 TEST(Pipeline, EveryRouterTimesEveryMappingRoutesAndVerifies) {
   const arch::Device device = arch::ibm_q20_tokyo();
   const ir::Circuit circuit = fig2_program();
-  for (const RouterEntry& router : RouterRegistry::instance().entries()) {
-    for (const MappingEntry& mapping :
-         MappingRegistry::instance().entries()) {
+  for (const PassInfo& router : kRouters) {
+    for (const PassInfo& mapping : kMappings) {
       RoutingSpec spec;
-      spec.router = router.name;
-      spec.mapping = mapping.name;
+      spec.router = std::string(router.name);
+      spec.mapping = std::string(mapping.name);
       const Pipeline pipe(device, spec);
       EXPECT_EQ(pipe.router().name(), router.name);
       EXPECT_EQ(pipe.mapping().name(), mapping.name);
 
       const RouteReport report = pipe.run(circuit);
-      const std::string combo = router.name + " x " + mapping.name;
+      const std::string combo = spec.router + " x " + spec.mapping;
       EXPECT_TRUE(report.ok()) << combo << ": " << report.error;
       EXPECT_TRUE(report.verified) << combo;
       EXPECT_EQ(report.gates_in, 3u) << combo;

@@ -95,34 +95,43 @@ TEST(ParseRequest, MinimalSuiteRequest) {
   EXPECT_EQ(req.opts.device, "tokyo");  // inherited default
 }
 
-TEST(ParseRequest, ExtrasOptionFillsSpecExtras) {
-  const ServeRequest req = parse_request(
-      R"({"id": 1, "suite_name": "ghz_3",
-          "options": {"extras": {"beam": "8", "alpha": "0.5"}}})",
-      defaults());
-  ASSERT_NE(req.opts.extra("beam"), nullptr);
-  EXPECT_EQ(*req.opts.extra("beam"), "8");
-  ASSERT_NE(req.opts.extra("alpha"), nullptr);
-  EXPECT_EQ(*req.opts.extra("alpha"), "0.5");
-  // A request's extras object replaces the serve-line defaults wholesale,
-  // so a client can unset a default knob by omitting it.
-  cli::Options seeded = defaults();
-  seeded.set_extra("beam", "8");
-  const ServeRequest cleared = parse_request(
-      R"({"suite_name": "ghz_3", "options": {"extras": {}}})", seeded);
-  EXPECT_TRUE(cleared.opts.extras.empty());
-  const ServeRequest inherited =
-      parse_request(R"({"suite_name": "ghz_3"})", seeded);
-  ASSERT_NE(inherited.opts.extra("beam"), nullptr);
-  // Strictly strings, strictly an object.
-  EXPECT_THROW(parse_request(R"({"suite_name": "ghz_3",
-                                 "options": {"extras": {"beam": 8}}})",
-                             defaults()),
-               ProtocolError);
-  EXPECT_THROW(parse_request(R"({"suite_name": "ghz_3",
-                                 "options": {"extras": "beam=8"}})",
-                             defaults()),
-               ProtocolError);
+TEST(ParseRequest, ExtrasOptionIsRejected) {
+  // There is no free-form knob store: "extras" is an unknown option like
+  // any other.
+  try {
+    parse_request(R"({"id": 1, "suite_name": "ghz_3",
+                      "options": {"extras": {"beam": "8"}}})",
+                  defaults());
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown option 'extras'");
+  }
+}
+
+TEST(ParseRequest, IntegerOptionsAreRangeCheckedBeforeNarrowing) {
+  auto with_option = [](const std::string& key, const std::string& value) {
+    return parse_request(R"({"suite_name": "ghz_3", "options": {")" + key +
+                             "\": " + value + "}}",
+                         defaults());
+  };
+  // Values past INT_MAX used to wrap in the int cast: 2^32 passed the
+  // stagnation >= 1 check and then became 0.
+  for (const char* key : {"window", "stagnation", "mapping_rounds"}) {
+    EXPECT_THROW(with_option(key, "4294967296"), ProtocolError) << key;
+    EXPECT_THROW(with_option(key, "4294967297"), ProtocolError) << key;
+  }
+  // Zero SABRE rounds would fail every route on a router precondition.
+  try {
+    with_option("mapping_rounds", "0");
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(std::string(e.what()), "'mapping_rounds' must be >= 1");
+  }
+  EXPECT_EQ(with_option("window", "-1").opts.codar.front_window, -1);
+  EXPECT_EQ(with_option("stagnation", "2147483647")
+                .opts.codar.stagnation_threshold,
+            2147483647);
+  EXPECT_EQ(with_option("mapping_rounds", "1").opts.mapping_rounds, 1);
 }
 
 TEST(ParseRequest, FidWeightOptionsParseAndValidate) {

@@ -95,18 +95,26 @@ TEST(RouteCache, RealFingerprintsGiveDistinctKeys) {
   no_context.codar.context_aware = false;
   cli::Options reseeded = base;
   reseeded.seed = base.seed + 1;
-  cli::Options with_extra = base;
-  with_extra.set_extra("beam", "8");
   cli::Options reweighted = base;
   reweighted.fid.beta = 0.0;  // result-changing for codar-fid
   EXPECT_NE(options_fingerprint(base), options_fingerprint(sabre));
   EXPECT_NE(options_fingerprint(base), options_fingerprint(no_context));
   EXPECT_NE(options_fingerprint(base), options_fingerprint(reseeded));
-  EXPECT_NE(options_fingerprint(base), options_fingerprint(with_extra));
   EXPECT_NE(options_fingerprint(base), options_fingerprint(reweighted));
 
   EXPECT_NE(arch::ibm_q20_tokyo().fingerprint(),
             arch::enfield_6x6().fingerprint());
+}
+
+TEST(RouteCache, OptionsFingerprintIsPinned) {
+  // The fingerprint keys every entry a --cache-dir persists. These values
+  // are the schema-3 keys as first written; if they change, a restarted
+  // server silently re-routes its whole history instead of hitting disk.
+  EXPECT_EQ(options_fingerprint(cli::Options{}), 0x8dc074d64ffc6af9ULL);
+  cli::Options fid;
+  fid.router = "codar-fid";
+  fid.fid.beta = 2.5;
+  EXPECT_EQ(options_fingerprint(fid), 0x2fcbc5185851e0cfULL);
 }
 
 TEST(RouteCache, TimingAndPathsDoNotChangeOptionsFingerprint) {
