@@ -12,7 +12,9 @@ BENCH_router.json (the 71-benchmark suite), BENCH_scaling.json (the
 large-device sweep) and BENCH_serve.json (the socket-serve load mixes).
 Each baseline chooses its own gated fields via a top-level
 "gated_fields" array; baselines without one gate the routing-quality
-trio (swaps, makespan, cycles). Gated fields are deterministic by
+trio (swaps, makespan, cycles). Every baseline row must carry every
+gated field (a missing one is a bad baseline, exit 2); a candidate row
+missing one counts as drift. Gated fields are deterministic by
 construction, so ANY difference is a regression (or an improvement that
 must be committed deliberately by refreshing the baseline). Wall time,
 throughput and latency percentiles are machine-dependent and stay
@@ -71,11 +73,24 @@ def check_pair(baseline_path, candidate_path):
     for name in sorted(candidate.keys() - baseline.keys()):
         drift.append(f"{name}: not in baseline (refresh {baseline_path}?)")
 
+    # A gated field the baseline does not carry would compare None to
+    # None and pass forever, so a misspelled gated_fields entry would
+    # silently disarm the gate: reject the baseline instead.
+    for name, row in sorted(baseline.items()):
+        absent = [field for field in fields if field not in row]
+        if absent:
+            print(f"error: {baseline_path}: row {name} lacks gated "
+                  f"field(s) {', '.join(absent)}", file=sys.stderr)
+            sys.exit(2)
+
     for name in sorted(baseline.keys() & candidate.keys()):
         for field in fields:
-            want, got = baseline[name].get(field), candidate[name].get(field)
-            if want != got:
-                drift.append(f"{name}: {field} {want} -> {got}")
+            want = baseline[name][field]
+            if field not in candidate[name]:
+                drift.append(f"{name}: {field} {want} -> missing")
+            elif candidate[name][field] != want:
+                drift.append(f"{name}: {field} {want} -> "
+                             f"{candidate[name][field]}")
 
     base_ms = baseline_doc.get("summary", {}).get("total_wall_ms")
     cand_ms = candidate_doc.get("summary", {}).get("total_wall_ms")

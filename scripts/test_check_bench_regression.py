@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Unit tests for check_bench_regression.py — the gate every bench lane
 funnels through. Covers: clean pass, gated-field drift, benchmark-set
-mismatch, custom vs default gated_fields, malformed inputs (exit 2), and
-the --allow-missing-baseline bootstrap path.
+mismatch, custom vs default gated_fields, gated fields absent from a
+baseline row (exit 2) or a candidate row (drift), malformed inputs
+(exit 2), and the --allow-missing-baseline bootstrap path.
 
 Run directly (python3 scripts/test_check_bench_regression.py) or via the
 ctest entry `check_bench_regression_py`.
@@ -125,11 +126,22 @@ class DriftDetection(GateHarness):
             [{"name": "a", "swaps": 3, "makespan": 70}]))
         code, out, _ = self.run_gate(base, cand)
         self.assertEqual(code, 1)
-        self.assertIn("cycles 9 -> None", out)
+        self.assertIn("cycles 9 -> missing", out)
+
+    def test_gated_field_missing_from_candidate_is_drift_even_if_null(self):
+        # An explicit null in the baseline still demands the key in the
+        # candidate: absence is never equal to a recorded value.
+        base = self.write("base.json", bench_doc(
+            [{"name": "a", "layout_fp": None}], gated_fields=["layout_fp"]))
+        cand = self.write("cand.json", bench_doc([{"name": "a"}]))
+        code, out, _ = self.run_gate(base, cand)
+        self.assertEqual(code, 1)
+        self.assertIn("layout_fp None -> missing", out)
 
     def test_benchmark_set_mismatch_fails_both_ways(self):
         base = self.write("base.json", bench_doc(
-            [{"name": "a", "swaps": 1}, {"name": "b", "swaps": 2}]))
+            [{"name": "a", "swaps": 1}, {"name": "b", "swaps": 2}],
+            gated_fields=["swaps"]))
         cand = self.write("cand.json", bench_doc(
             [{"name": "a", "swaps": 1}, {"name": "c", "swaps": 3}]))
         code, out, _ = self.run_gate(base, cand)
@@ -163,6 +175,30 @@ class MalformedInputs(GateHarness):
             self.assertEqual(code, 2, repr(bad))
             self.assertIn("malformed 'gated_fields'", err)
 
+    def test_misspelled_gated_field_exits_2(self):
+        # "cyclez" is in no row: before the fix every row compared
+        # None == None, so real cycles drift passed as "no drift".
+        rows = [{"name": "a", "swaps": 3, "makespan": 70, "cycles": 9}]
+        drifted = [dict(rows[0], cycles=10)]
+        base = self.write("base.json", bench_doc(
+            rows, gated_fields=["swaps", "makespan", "cyclez"]))
+        cand = self.write("cand.json", bench_doc(drifted))
+        code, out, err = self.run_gate(base, cand)
+        self.assertEqual(code, 2)
+        self.assertNotIn("no drift", out)
+        self.assertIn("lacks gated field(s) cyclez", err)
+
+    def test_gated_field_missing_from_one_baseline_row_exits_2(self):
+        base = self.write("base.json", bench_doc(
+            [{"name": "a", "swaps": 1, "makespan": 2, "cycles": 3},
+             {"name": "b", "swaps": 1, "makespan": 2}]))
+        cand = self.write("cand.json", bench_doc(
+            [{"name": "a", "swaps": 1, "makespan": 2, "cycles": 3},
+             {"name": "b", "swaps": 1, "makespan": 2, "cycles": 3}]))
+        code, _, err = self.run_gate(base, cand)
+        self.assertEqual(code, 2)
+        self.assertIn("row b lacks gated field(s) cycles", err)
+
     def test_bad_invocation_exits_2(self):
         base = self.write("base.json", bench_doc([{"name": "a"}]))
         for argv in ((), (base,), (base, base, base)):  # odd arg counts
@@ -187,7 +223,8 @@ class MissingBaseline(GateHarness):
     def test_allow_missing_still_gates_existing_baselines(self):
         # The flag skips ABSENT baselines only; a present-but-drifting
         # pair in the same invocation still fails.
-        base = self.write("base.json", bench_doc([{"name": "a", "swaps": 1}]))
+        base = self.write("base.json", bench_doc(
+            [{"name": "a", "swaps": 1}], gated_fields=["swaps"]))
         cand = self.write("cand.json", bench_doc([{"name": "a", "swaps": 2}]))
         code, out, _ = self.run_gate(
             "--allow-missing-baseline",

@@ -10,6 +10,7 @@
 #include "codar/arch/device.hpp"
 #include "codar/cli/report.hpp"
 #include "codar/pipeline/pipeline.hpp"
+#include "codar/workloads/suite.hpp"
 
 namespace codar::pipeline {
 namespace {
@@ -136,6 +137,29 @@ TEST(Pipeline, StageTimingsAreExcludedFromJsonUnlessTimingIsSet) {
       << with_timing;
   EXPECT_NE(with_timing.find("\"route\": "), std::string::npos)
       << with_timing;
+}
+
+// The default pipeline's suite result, pinned in tier-1: SABRE initial
+// mapping + CODAR routing over all 71 benchmarks on enfield, one thread.
+// These are the totals `codar --suite --device enfield --threads 1`
+// prints; any change to either pass that moves them shows up here, not
+// only in the benchmark harness.
+TEST(Pipeline, DefaultSuiteTotalsArePinned) {
+  const arch::Device device = arch::enfield_6x6();
+  const Pipeline pipe(device, RoutingSpec{});
+  std::size_t swaps = 0;
+  long long weighted_depth_out = 0;
+  std::size_t routed = 0;
+  for (const workloads::BenchmarkSpec& spec : workloads::benchmark_suite()) {
+    const RouteReport report = pipe.run(spec.circuit);
+    ASSERT_TRUE(report.ok()) << spec.name << ": " << report.error;
+    swaps += report.swaps;
+    weighted_depth_out += static_cast<long long>(report.depth_out);
+    ++routed;
+  }
+  EXPECT_EQ(routed, 71u);
+  EXPECT_EQ(swaps, 25103u);
+  EXPECT_EQ(weighted_depth_out, 54196);
 }
 
 }  // namespace
