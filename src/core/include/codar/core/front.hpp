@@ -29,10 +29,15 @@
 // because the window is an alive-prefix). Equivalence with the rescan
 // definition is locked in by randomized differential tests against
 // commutative_front() and the preserved oracle router.
+//
+// Pair checks go through a CommuteMemo over the same gates: a pair shape
+// (kinds, exact parameters, operand overlap) that the rule table leaves
+// open costs one dense-matrix evaluation per circuit, then table lookups.
 
 #include <span>
 #include <vector>
 
+#include "codar/core/commutativity.hpp"
 #include "codar/ir/gate.hpp"
 
 namespace codar::core {
@@ -75,7 +80,7 @@ class CommutativeFront {
 
   /// True when earlier gate h blocks later gate g (they share >= 1 wire by
   /// construction of the wire lists).
-  bool blocks(int h, int g) const;
+  bool blocks(int h, int g);
 
   /// The operand position of `wire` within the gate (the gate acts on it).
   int wire_slot_of(int gate_index, ir::Qubit wire) const;
@@ -91,6 +96,7 @@ class CommutativeFront {
   std::span<const ir::Gate> gates_;
   std::size_t window_cap_;  ///< Max gates in the window (SIZE_MAX = unbounded).
   bool use_commutativity_;
+  CommuteMemo memo_;
 
   std::vector<char> alive_;
   std::vector<char> in_window_;

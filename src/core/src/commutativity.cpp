@@ -1,6 +1,7 @@
 #include "codar/core/commutativity.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 
 #include "codar/ir/unitary.hpp"
@@ -110,16 +111,29 @@ std::optional<bool> symbolic_commute(const Gate& a, const Gate& b) {
   return std::nullopt;
 }
 
-}  // namespace
-
-bool gates_commute(const Gate& a, const Gate& b) {
+/// gates_commute short of the dense matrices: nullopt = only the exact
+/// check can tell.
+std::optional<bool> commute_by_rules(const Gate& a, const Gate& b) {
   if (!a.overlaps(b)) return true;
   const bool a_unitary = ir::is_unitary(a.kind());
   const bool b_unitary = ir::is_unitary(b.kind());
   // Barriers are ordering fences and measurements collapse state: neither
   // may move past an overlapping gate.
   if (!a_unitary || !b_unitary) return false;
-  if (const auto fast = symbolic_commute(a, b)) return *fast;
+  // A rule's `false` holds for the generic member of a gate family only:
+  // at identity- or diagonal-valued angles (rx(0), rx(4π), u3(0,φ,λ),
+  // crz(0)) a parametrized gate commutes where its family does not. So
+  // `false` is definitive only for parameter-free pairs.
+  const auto fast = symbolic_commute(a, b);
+  if (fast && (*fast || (a.num_params() == 0 && b.num_params() == 0)))
+    return fast;
+  return std::nullopt;
+}
+
+}  // namespace
+
+bool gates_commute(const Gate& a, const Gate& b) {
+  if (const auto known = commute_by_rules(a, b)) return *known;
   return ir::unitaries_commute(a, b);
 }
 
@@ -172,6 +186,61 @@ std::vector<std::size_t> commutative_front(const ir::Circuit& circuit,
   for (std::size_t i = 0; i < pending.size(); ++i)
     pending[i] = static_cast<int>(i);
   return commutative_front(sequence, pending, window, use_commutativity);
+}
+
+namespace {
+
+/// Key layout: class_i (27 bits) | class_j (27 bits) | pattern (10 bits).
+constexpr int kPatternBits = 10;
+constexpr int kClassBits = 27;
+constexpr std::uint64_t kMaxClasses = std::uint64_t{1} << kClassBits;
+constexpr std::uint32_t kUnclassified = ~std::uint32_t{0};
+
+}  // namespace
+
+CommuteMemo::CommuteMemo(std::span<const Gate> gates)
+    : gates_(gates), class_of_(gates.size(), kUnclassified) {}
+
+std::uint32_t CommuteMemo::class_of(std::size_t i) {
+  std::uint32_t& id = class_of_[i];
+  if (id != kUnclassified) return id;
+  // Parameter-free kinds are their own class; parametrized gates are
+  // interned after them by kind and exact parameter bits (so 0.0 and -0.0
+  // are distinct classes, which only costs an extra evaluation).
+  const Gate& g = gates_[i];
+  if (g.num_params() == 0) return id = static_cast<std::uint32_t>(g.kind());
+  std::array<std::uint64_t, 1 + Gate::kMaxParams> key{
+      static_cast<std::uint64_t>(g.kind())};
+  for (int p = 0; p < g.num_params(); ++p) {
+    key[static_cast<std::size_t>(p) + 1] =
+        std::bit_cast<std::uint64_t>(g.param(p));
+  }
+  const auto next = static_cast<std::uint32_t>(ir::kGateKindCount +
+                                               interned_.size());
+  CODAR_EXPECTS(next < kMaxClasses);
+  return id = interned_.try_emplace(key, next).first->second;
+}
+
+bool CommuteMemo::commute(std::size_t i, std::size_t j) {
+  const Gate& a = gates_[i];
+  const Gate& b = gates_[j];
+  if (const auto known = commute_by_rules(a, b)) return *known;
+  // Pattern: a's arity, b's arity, then per operand of b its position in a
+  // (3 = none), two bits each.
+  const auto qa = a.qubits();
+  const auto qb = b.qubits();
+  std::uint64_t pattern = qa.size() | qb.size() << 2;
+  for (std::size_t k = 0; k < qb.size(); ++k) {
+    const auto pos = static_cast<std::uint64_t>(
+        std::find(qa.begin(), qa.end(), qb[k]) - qa.begin());
+    pattern |= std::min<std::uint64_t>(pos, 3) << (4 + 2 * k);
+  }
+  const std::uint64_t key =
+      std::uint64_t{class_of(i)} << (kClassBits + kPatternBits) |
+      std::uint64_t{class_of(j)} << kPatternBits | pattern;
+  const auto [it, fresh] = answers_.try_emplace(key, false);
+  if (fresh) it->second = ir::unitaries_commute(a, b);
+  return it->second;
 }
 
 }  // namespace codar::core

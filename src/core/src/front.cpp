@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "codar/core/commutativity.hpp"
-
 namespace codar::core {
 
 using ir::Gate;
@@ -15,6 +13,7 @@ CommutativeFront::CommutativeFront(std::span<const Gate> gates, int window,
       window_cap_(window <= 0 ? gates.size()
                               : static_cast<std::size_t>(window)),
       use_commutativity_(use_commutativity),
+      memo_(gates),
       alive_(gates.size(), 1),
       in_window_(gates.size(), 0),
       block_count_(gates.size(), 0),
@@ -68,10 +67,9 @@ CommutativeFront::CommutativeFront(std::span<const Gate> gates, int window,
   while (window_size_ < window_cap_ && window_next_ >= 0) admit_next();
 }
 
-bool CommutativeFront::blocks(int h, int g) const {
-  return !use_commutativity_ ||
-         !gates_commute(gates_[static_cast<std::size_t>(h)],
-                        gates_[static_cast<std::size_t>(g)]);
+bool CommutativeFront::blocks(int h, int g) {
+  return !use_commutativity_ || !memo_.commute(static_cast<std::size_t>(h),
+                                               static_cast<std::size_t>(g));
 }
 
 void CommutativeFront::admit_next() {

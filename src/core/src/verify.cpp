@@ -21,8 +21,9 @@ std::string describe(const Gate& g) { return g.to_string(); }
 /// outputs, which retire gates close to program order).
 class FrontMatcher {
  public:
-  explicit FrontMatcher(const ir::Circuit& original) {
-    gates_.assign(original.gates().begin(), original.gates().end());
+  explicit FrontMatcher(const ir::Circuit& original)
+      : gates_(original.gates().begin(), original.gates().end()),
+        memo_(gates_) {
     alive_.assign(gates_.size(), true);
     wire_lists_.resize(static_cast<std::size_t>(original.num_qubits()));
     wire_cursor_.assign(wire_lists_.size(), 0);
@@ -63,7 +64,7 @@ class FrontMatcher {
       while (cursor < list.size() && !alive_[list[cursor]]) ++cursor;
       for (std::size_t k = cursor; k < list.size() && list[k] < i; ++k) {
         if (!alive_[list[k]]) continue;
-        if (!gates_commute(gates_[list[k]], gates_[i])) return false;
+        if (!memo_.commute(list[k], i)) return false;
       }
     }
     return true;
@@ -75,6 +76,7 @@ class FrontMatcher {
   }
 
   std::vector<Gate> gates_;
+  CommuteMemo memo_;  ///< Over gates_, which never changes after construction.
   std::vector<bool> alive_;
   std::vector<std::vector<std::size_t>> wire_lists_;
   std::vector<std::size_t> wire_cursor_;

@@ -8,6 +8,7 @@
 #include "codar/core/commutativity.hpp"
 #include "codar/ir/circuit.hpp"
 #include "codar/workloads/generators.hpp"
+#include "support/rich_circuit.hpp"
 
 namespace codar::core {
 namespace {
@@ -143,6 +144,7 @@ struct FrontCase {
   int window;
   bool use_commutativity;
   std::uint64_t seed;
+  bool rich = false;  ///< testing::rich_circuit instead of random_circuit.
 };
 
 class CommutativeFrontDifferential
@@ -150,8 +152,11 @@ class CommutativeFrontDifferential
 
 TEST_P(CommutativeFrontDifferential, MatchesRescanUnderRandomRetirement) {
   const FrontCase& tc = GetParam();
-  Circuit c = workloads::random_circuit(tc.num_qubits, tc.num_gates,
-                                        tc.two_qubit_fraction, tc.seed);
+  Circuit c = tc.rich ? codar::testing::rich_circuit(tc.num_qubits,
+                                                     tc.num_gates, tc.seed)
+                      : workloads::random_circuit(tc.num_qubits, tc.num_gates,
+                                                  tc.two_qubit_fraction,
+                                                  tc.seed);
   // Sprinkle in barriers and measures so non-unitary fencing is covered.
   const Qubit fence[] = {0, static_cast<Qubit>(tc.num_qubits - 1)};
   c.barrier(fence);
@@ -185,13 +190,20 @@ INSTANTIATE_TEST_SUITE_P(
                       FrontCase{3, 80, 0.7, 2, true, 7},
                       FrontCase{10, 200, 0.5, 25, true, 8},
                       FrontCase{10, 200, 0.5, 25, false, 9},
-                      FrontCase{5, 100, 0.3, 3, true, 10}),
+                      FrontCase{5, 100, 0.3, 3, true, 10},
+                      // The whole alphabet with shared angles: the memo
+                      // sees each (kind, parameters) class on many wires.
+                      FrontCase{3, 150, 0, 0, true, 11, true},
+                      FrontCase{4, 200, 0, 0, true, 12, true},
+                      FrontCase{5, 200, 0, 6, true, 13, true},
+                      FrontCase{6, 250, 0, 20, true, 14, true},
+                      FrontCase{4, 120, 0, 0, false, 15, true}),
     [](const ::testing::TestParamInfo<FrontCase>& pinfo) {
       const FrontCase& p = pinfo.param;
       return "q" + std::to_string(p.num_qubits) + "_g" +
              std::to_string(p.num_gates) + "_w" + std::to_string(p.window) +
              (p.use_commutativity ? "_cf" : "_dag") + "_s" +
-             std::to_string(p.seed);
+             std::to_string(p.seed) + (p.rich ? "_rich" : "");
     });
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "codar/qasm/writer.hpp"
 #include "codar/workloads/generators.hpp"
 #include "support/rescan_router.hpp"
+#include "support/rich_circuit.hpp"
 
 namespace codar::core {
 namespace {
@@ -57,6 +58,10 @@ struct DiffCase {
   int num_gates;
   double two_qubit_fraction;
   std::uint64_t seed;
+  /// testing::rich_circuit instead of random_circuit: every 1- and 2-qubit
+  /// kind (input SWAPs included), shared angles at identity values,
+  /// barriers and measurements.
+  bool rich = false;
 };
 
 arch::Device device_by_name(const std::string& name) {
@@ -70,13 +75,16 @@ arch::Device device_by_name(const std::string& name) {
 
 class RouterDifferential : public ::testing::TestWithParam<DiffCase> {};
 
-// 13 circuit cases x 4 config variants = 52 differentially routed circuits,
+// 17 circuit cases x 4 config variants = 68 differentially routed circuits,
 // plus the fenced/named-workload cases below.
 TEST_P(RouterDifferential, MatchesRescanOracleAcrossConfigs) {
   const DiffCase& tc = GetParam();
   const arch::Device dev = device_by_name(tc.device);
-  const Circuit c = workloads::random_circuit(
-      tc.num_qubits, tc.num_gates, tc.two_qubit_fraction, tc.seed);
+  const Circuit c =
+      tc.rich ? codar::testing::rich_circuit(tc.num_qubits, tc.num_gates,
+                                             tc.seed, /*allow_ccx=*/false)
+              : workloads::random_circuit(tc.num_qubits, tc.num_gates,
+                                          tc.two_qubit_fraction, tc.seed);
 
   CodarConfig full;  // all features on, default window
 
@@ -111,12 +119,16 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{"tokyo", 20, 300, 0.5, 30},
                       DiffCase{"tokyo", 16, 250, 0.4, 31},
                       DiffCase{"tokyo", 12, 180, 0.6, 32},
-                      DiffCase{"linear6", 3, 60, 0.8, 33}),
+                      DiffCase{"linear6", 3, 60, 0.8, 33},
+                      DiffCase{"linear6", 6, 150, 0, 61, true},
+                      DiffCase{"grid3x3", 9, 200, 0, 62, true},
+                      DiffCase{"grid3x3", 7, 200, 0, 63, true},
+                      DiffCase{"tokyo", 16, 250, 0, 64, true}),
     [](const ::testing::TestParamInfo<DiffCase>& pinfo) {
       const DiffCase& p = pinfo.param;
       return std::string(p.device) + "_q" + std::to_string(p.num_qubits) +
              "_g" + std::to_string(p.num_gates) + "_s" +
-             std::to_string(p.seed);
+             std::to_string(p.seed) + (p.rich ? "_rich" : "");
     });
 
 TEST(RouterDifferential, BarriersAndMeasurementsMatchOracle) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "codar/arch/device.hpp"
+#include "codar/core/codar_router.hpp"
+#include "codar/core/commutativity.hpp"
+#include "codar/ir/decompose.hpp"
+#include "support/rich_circuit.hpp"
 
 namespace codar::core {
 namespace {
@@ -129,6 +133,61 @@ TEST(VerifyRouting, RejectsGateOnUnoccupiedQubit) {
                              {}};
   const VerifyOutcome outcome = verify_routing(original, result, device.graph);
   EXPECT_FALSE(outcome.valid);
+}
+
+/// A circuit of the whole routable alphabet. Input SWAPs are lowered to
+/// CXs, as the pipeline does: the verifier reads every routed SWAP as a
+/// layout change.
+Circuit rich_input(int num_qubits, std::uint64_t seed) {
+  return ir::decompose_swaps(codar::testing::rich_circuit(
+      num_qubits, 200, seed, /*allow_ccx=*/false));
+}
+
+TEST(VerifyRouting, RichCircuitsRoundTrip) {
+  const arch::Device device = arch::grid(3, 3);
+  CodarConfig no_commut;
+  no_commut.commutativity_aware = false;
+  for (const std::uint64_t seed : {71, 72, 73}) {
+    const Circuit original = rich_input(9, seed);
+    for (const CodarConfig& config : {CodarConfig{}, no_commut}) {
+      const RoutingResult result = CodarRouter(device, config).route(original);
+      const VerifyOutcome outcome =
+          verify_routing(original, result, device.graph);
+      EXPECT_TRUE(outcome.valid) << outcome.reason << " (seed " << seed << ")";
+    }
+  }
+}
+
+TEST(VerifyRouting, AdjacentSwapIsAcceptedIffThePairCommutes) {
+  // On a complete graph with identity layouts the only question is order:
+  // exchanging gates k and k+1 is a faithful execution exactly when they
+  // commute.
+  const int n = 5;
+  arch::CouplingGraph g(n);
+  for (ir::Qubit a = 0; a < n; ++a) {
+    for (ir::Qubit b = a + 1; b < n; ++b) g.add_edge(a, b);
+  }
+  const arch::Device device{"complete5", std::move(g), arch::DurationMap()};
+  int rejected = 0;
+  for (const std::uint64_t seed : {81, 82}) {
+    const Circuit original = rich_input(n, seed);
+    for (std::size_t k = 0; k + 1 < original.size(); ++k) {
+      Circuit exchanged(n);
+      for (std::size_t i = 0; i < original.size(); ++i) {
+        const std::size_t from = i == k ? k + 1 : i == k + 1 ? k : i;
+        exchanged.add(original.gate(from));
+      }
+      const RoutingResult result{std::move(exchanged), Layout(n, n),
+                                 Layout(n, n), {}};
+      const bool commute =
+          gates_commute(original.gate(k), original.gate(k + 1));
+      EXPECT_EQ(verify_routing(original, result, device.graph).valid, commute)
+          << original.gate(k).to_string() << " / "
+          << original.gate(k + 1).to_string() << " at " << k;
+      rejected += commute ? 0 : 1;
+    }
+  }
+  EXPECT_GT(rejected, 20);
 }
 
 }  // namespace
