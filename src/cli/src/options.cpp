@@ -1,8 +1,10 @@
 #include "codar/cli/options.hpp"
 
+#include <algorithm>
 #include <charconv>
-#include <climits>
 #include <cmath>
+#include <sstream>
+#include <type_traits>
 
 #include "codar/pipeline/pipeline.hpp"
 
@@ -10,89 +12,210 @@ namespace codar::cli {
 
 namespace {
 
-long long integer_value(const std::string& flag, const std::string& value) {
-  long long result = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), result);
-  if (ec != std::errc() || ptr != value.data() + value.size()) {
-    throw UsageError(flag + " expects an integer, got '" + value + "'");
-  }
-  return result;
-}
+using core::CodarConfig;
+using Fid = pipeline::RoutingSpec::FidWeights;
 
-/// An int flag in [lo, INT_MAX], checked before the narrowing cast so an
-/// out-of-range value is an error instead of a silent wrap.
-int int_value(const std::string& flag, const std::string& value,
-              long long lo) {
-  const long long n = integer_value(flag, value);
-  if (n < lo) throw UsageError(flag + " must be >= " + std::to_string(lo));
-  if (n > INT_MAX) {
-    throw UsageError(flag + " must be <= " + std::to_string(INT_MAX));
-  }
-  return static_cast<int>(n);
-}
+/// Eager name checks, so a typo fails at parse time with the known names.
+void check_router(const std::string& name) { pipeline::router_named(name); }
+void check_mapping(const std::string& name) { pipeline::mapping_named(name); }
 
-/// A weight flag: a finite number ("inf"/"nan" are rejected, since the
-/// bit pattern feeds the options fingerprint), >= 0 when `nonnegative`.
-double weight_value(const std::string& flag, const std::string& value,
-                    bool nonnegative) {
-  double result = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), result);
-  if (ec != std::errc() || ptr != value.data() + value.size() ||
-      !std::isfinite(result)) {
-    throw UsageError(flag + " expects a finite number, got '" + value + "'");
-  }
-  if (nonnegative && result < 0.0) throw UsageError(flag + " must be >= 0");
-  return result;
+// Table order is the route-cache fingerprint order of the output-affecting
+// rows (schema 3); inert rows may sit anywhere.
+constexpr OptionRow<Options> kRoutingRows[] = {
+    {{.flag = "--device", .alias = "-d", .metavar = "SPEC",
+      .help = "target device: a spec from --list-devices, or\n"
+              "file:PATH.json (README \"Device files\")"},
+     member<&Options::device>},
+    {{.flag = "--router", .alias = "-r", .metavar = "NAME",
+      .check = check_router, .affects_output = true,
+      .help = "routing pass; see --list-routers"}, member<&Options::router>},
+    {{.flag = "--initial", .key = "initial", .metavar = "NAME",
+      .check = check_mapping, .affects_output = true,
+      .help = "initial mapping; see --list-mappings"},
+     member<&Options::mapping>},
+    {{.flag = "--seed", .key = "seed", .metavar = "N", .affects_output = true,
+      .help = "initial-mapping RNG seed"}, member<&Options::seed>},
+    {{.flag = "--mapping-rounds", .key = "mapping_rounds", .metavar = "N",
+      .lo = 1, .affects_output = true,
+      .help = "SABRE reverse-traversal rounds"},
+     member<&Options::mapping_rounds>},
+    {{.flag = "--peephole", .key = "peephole", .affects_output = true,
+      .help = "run the peephole cleanup pass before routing"},
+     member<&Options::peephole>},
+    {{.flag = "--no-verify", .key = "verify", .set_to = false,
+      .affects_output = true, .help = "skip the routing verifier"},
+     member<&Options::verify>},
+    {{.flag = "--timing", .key = "timing",
+      .help = "add route_us/stage_us wall times to the JSON\n"
+              "stats (off: stats are bit-identical across runs)"},
+     member<&Options::timing>},
+    {{.flag = "--threads", .alias = "-j", .metavar = "N", .lo = 0,
+      .help = "worker threads; 0 = hardware concurrency"},
+     member<&Options::threads>},
+    {{.flag = "--no-context", .key = "context", .set_to = false,
+      .affects_output = true,
+      .help = "CODAR ablation: SWAP choice ignores qubit locks"},
+     member<&Options::codar, &CodarConfig::context_aware>},
+    {{.flag = "--no-duration", .key = "duration", .set_to = false,
+      .affects_output = true,
+      .help = "CODAR ablation: every gate takes one cycle"},
+     member<&Options::codar, &CodarConfig::duration_aware>},
+    {{.flag = "--no-commutativity", .key = "commutativity", .set_to = false,
+      .affects_output = true,
+      .help = "CODAR ablation: DAG front layer, no commutation"},
+     member<&Options::codar, &CodarConfig::commutativity_aware>},
+    {{.flag = "--no-fine-priority", .key = "fine_priority", .set_to = false,
+      .affects_output = true,
+      .help = "CODAR ablation: basic SWAP priority only"},
+     member<&Options::codar, &CodarConfig::fine_priority>},
+    {{.flag = "--window", .key = "window", .metavar = "N",
+      .affects_output = true,
+      .help = "commutative-front scan cap (<= 0 unbounded)"},
+     member<&Options::codar, &CodarConfig::front_window>},
+    {{.flag = "--stagnation", .key = "stagnation", .metavar = "N", .lo = 1,
+      .affects_output = true,
+      .help = "forced SWAPs before the shortest-path escape"},
+     member<&Options::codar, &CodarConfig::stagnation_threshold>},
+    {{.flag = "--alpha", .key = "alpha", .metavar = "X",
+      .affects_output = true,
+      .help = "codar-fid distance term weight (README\n"
+              "\"Routing objectives\")"}, member<&Options::fid, &Fid::alpha>},
+    {{.flag = "--beta", .key = "beta", .metavar = "X", .lo = 0,
+      .affects_output = true, .help = "codar-fid log-fidelity term weight"},
+     member<&Options::fid, &Fid::beta>},
+    {{.flag = "--gamma", .key = "gamma", .metavar = "X", .lo = 0,
+      .affects_output = true,
+      .help = "codar-fid decoherence term weight; beta=0\n"
+              "gamma=0 routes byte-identically to codar"},
+     member<&Options::fid, &Fid::gamma>},
+};
+
+/// The batch CLI's mode and I/O flags, which `codar serve` does not take.
+constexpr OptionRow<Options> kCliRows[] = {
+    {{.flag = "--output", .alias = "-o", .metavar = "FILE",
+      .help = "routed QASM destination (one input; default stdout)"},
+     member<&Options::output_path>},
+    {{.flag = "--stats", .metavar = "FILE",
+      .help = "JSON statistics destination (default: stderr for\n"
+              "a single input, stdout for batch/suite)"},
+     member<&Options::stats_path>},
+    {{.flag = "--batch", .metavar = "DIR",
+      .help = "route every *.qasm under DIR (parallel)"},
+     member<&Options::batch_dir>},
+    {{.flag = "--suite", .help = "route the built-in 71-benchmark suite"},
+     member<&Options::suite>},
+    {{.flag = "--list-devices", .help = "print every device spec"},
+     member<&Options::list_devices>},
+    {{.flag = "--describe-device", .metavar = "SPEC",
+      .help = "print one device's shape + fingerprint"},
+     member<&Options::describe_device>},
+    {{.flag = "--list-routers", .help = "print every routing pass"},
+     member<&Options::list_routers>},
+    {{.flag = "--list-mappings", .help = "print every initial mapping"},
+     member<&Options::list_mappings>},
+    {{.flag = "--help", .alias = "-h", .help = "print this help"},
+     member<&Options::help>},
+};
+
+/// A range bound as decimal digits: bounds are integral, and every bound
+/// printed is finite.
+std::string integer_text(double bound) {
+  return std::to_string(std::llround(bound));
 }
 
 }  // namespace
 
+std::span<const OptionRow<Options>> routing_options() { return kRoutingRows; }
+
+std::string range_error(const OptionSpec& spec, OptionRef field, double v) {
+  double lo = spec.lo;
+  double hi = spec.hi;
+  std::visit(
+      [&](auto* f) {
+        using T = std::remove_pointer_t<decltype(f)>;
+        if constexpr (std::is_same_v<T, int> ||
+                      std::is_same_v<T, std::uint64_t>) {
+          using Limits = std::numeric_limits<T>;
+          lo = std::max(lo, static_cast<double>(Limits::min()));
+          hi = std::min(hi, static_cast<double>(Limits::max()));
+        }
+      },
+      field);
+  if (v < lo) return "must be >= " + integer_text(lo);
+  if (v > hi) return "must be <= " + integer_text(hi);
+  return {};
+}
+
+void set_from_flag(const OptionSpec& spec, OptionRef field,
+                   const std::string& arg,
+                   const std::function<std::string()>& value) {
+  std::visit(
+      [&](auto* f) {
+        using T = std::remove_pointer_t<decltype(f)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          *f = spec.set_to;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          *f = value();
+          if (spec.check != nullptr) spec.check(*f);
+        } else {
+          // Each value parses in the widest type of its kind, so the range
+          // check runs before any narrowing; an unsigned option rejects a
+          // minus sign up front.
+          using Wide = std::conditional_t<
+              std::is_same_v<T, double>, double,
+              std::conditional_t<std::is_signed_v<T>, long long,
+                                 unsigned long long>>;
+          const std::string text = value();
+          if (std::is_unsigned_v<T> && text.starts_with('-')) {
+            throw UsageError(arg + " must be >= 0");
+          }
+          Wide wide{};
+          const char* end = text.data() + text.size();
+          const auto [ptr, ec] = std::from_chars(text.data(), end, wide);
+          const double number = static_cast<double>(wide);
+          if (ec != std::errc() || ptr != end || !std::isfinite(number)) {
+            throw UsageError(arg + " expects " +
+                             (std::is_same_v<T, double> ? "a finite number"
+                                                        : "an integer") +
+                             ", got '" + text + "'");
+          }
+          const std::string bad = range_error(spec, field, number);
+          if (!bad.empty()) throw UsageError(arg + " " + bad);
+          *f = static_cast<T>(wide);
+        }
+      },
+      field);
+}
+
+std::string help_entry(const OptionSpec& spec, OptionRef default_value) {
+  const std::string indent(24, ' ');
+  std::string out = spec.alias.empty() ? "      "
+                                       : "  " + std::string(spec.alias) + ", ";
+  out += std::string(spec.flag) +
+         (spec.metavar.empty() ? "" : " " + std::string(spec.metavar));
+  out += out.size() < 23 ? std::string(24 - out.size(), ' ') : "\n" + indent;
+  for (const char c : spec.help) {
+    out += c;
+    if (c == '\n') out += indent;
+  }
+  std::string note;
+  if (!spec.metavar.empty()) {  // a switch has no default to show
+    std::ostringstream value;
+    std::visit([&](auto* f) { value << *f; }, default_value);
+    if (value.tellp() > 0) note = "default " + value.str();
+  }
+  if (std::isfinite(spec.lo)) note += "; >= " + integer_text(spec.lo);
+  if (std::isfinite(spec.hi)) note += "; <= " + integer_text(spec.hi);
+  if (note.empty()) return out + "\n";
+  // On the help text's last line when it fits in 79 columns, else below.
+  const std::size_t line = out.size() - (out.rfind('\n') + 1);
+  out += line + note.size() + 3 > 79 ? "\n" + indent : " ";
+  return out + "(" + note + ")\n";
+}
+
 bool parse_routing_flag(Options& opts, const std::string& arg,
                         const std::function<std::string()>& value) {
-  if (arg == "--device" || arg == "-d") {
-    opts.device = value();
-  } else if (arg == "--router" || arg == "-r") {
-    // Validate eagerly so a typo fails at parse time with the known
-    // names, not at route time.
-    opts.router = pipeline::router_named(value()).name;
-  } else if (arg == "--initial") {
-    opts.mapping = pipeline::mapping_named(value()).name;
-  } else if (arg == "--threads" || arg == "-j") {
-    opts.threads = int_value(arg, value(), 0);
-  } else if (arg == "--no-verify") {
-    opts.verify = false;
-  } else if (arg == "--timing") {
-    opts.timing = true;
-  } else if (arg == "--peephole") {
-    opts.peephole = true;
-  } else if (arg == "--no-context") {
-    opts.codar.context_aware = false;
-  } else if (arg == "--no-duration") {
-    opts.codar.duration_aware = false;
-  } else if (arg == "--no-commutativity") {
-    opts.codar.commutativity_aware = false;
-  } else if (arg == "--no-fine-priority") {
-    opts.codar.fine_priority = false;
-  } else if (arg == "--window") {
-    opts.codar.front_window = int_value(arg, value(), INT_MIN);
-  } else if (arg == "--stagnation") {
-    opts.codar.stagnation_threshold = int_value(arg, value(), 1);
-  } else if (arg == "--alpha") {
-    opts.fid.alpha = weight_value(arg, value(), false);
-  } else if (arg == "--beta") {
-    opts.fid.beta = weight_value(arg, value(), true);
-  } else if (arg == "--gamma") {
-    opts.fid.gamma = weight_value(arg, value(), true);
-  } else if (arg == "--seed") {
-    opts.seed = static_cast<std::uint64_t>(integer_value(arg, value()));
-  } else if (arg == "--mapping-rounds") {
-    opts.mapping_rounds = int_value(arg, value(), 1);
-  } else {
-    return false;
-  }
-  return true;
+  return parse_flag(routing_options(), opts, arg, value);
 }
 
 Options parse_args(const std::vector<std::string>& args) {
@@ -105,31 +228,14 @@ Options parse_args(const std::vector<std::string>& args) {
       }
       return args[++i];
     };
-    if (parse_routing_flag(opts, arg, value)) {
+    if (parse_routing_flag(opts, arg, value) ||
+        parse_flag<Options>(kCliRows, opts, arg, value)) {
       continue;
-    } else if (arg == "--help" || arg == "-h") {
-      opts.help = true;
-    } else if (arg == "--list-devices") {
-      opts.list_devices = true;
-    } else if (arg == "--describe-device") {
-      opts.describe_device = value();
-    } else if (arg == "--list-routers") {
-      opts.list_routers = true;
-    } else if (arg == "--list-mappings") {
-      opts.list_mappings = true;
-    } else if (arg == "--batch") {
-      opts.batch_dir = value();
-    } else if (arg == "--suite") {
-      opts.suite = true;
-    } else if (arg == "--output" || arg == "-o") {
-      opts.output_path = value();
-    } else if (arg == "--stats") {
-      opts.stats_path = value();
-    } else if (!arg.empty() && arg[0] == '-') {
-      throw UsageError("unknown flag '" + arg + "'");
-    } else {
-      opts.inputs.push_back(arg);
     }
+    if (!arg.empty() && arg[0] == '-') {
+      throw UsageError("unknown flag '" + arg + "'");
+    }
+    opts.inputs.push_back(arg);
   }
   if (opts.help || opts.list_devices || opts.list_routers ||
       opts.list_mappings || !opts.describe_device.empty()) {
@@ -156,49 +262,14 @@ std::string usage() {
 
 usage:
   codar [options] FILE.qasm...       route the given OpenQASM 2.0 files
-  codar [options] --batch DIR        route every *.qasm under DIR (parallel)
-  codar [options] --suite            route the built-in 71-benchmark suite
+  codar [options] --batch DIR | --suite
   codar serve [options]              NDJSON routing service with a route
                                      cache (see codar serve --help)
-  codar --list-devices               print every device spec
-  codar --describe-device SPEC       print one device's shape + fingerprint
-  codar --list-routers               print every routing pass
-  codar --list-mappings              print every initial-mapping strategy
 
 modes and I/O:
-  -o, --output FILE     routed QASM destination (single input only; default
-                        stdout)
-      --stats FILE      JSON statistics destination (default: stderr for a
-                        single input, stdout for batch/suite)
-      --threads, -j N   batch worker threads (0 = hardware concurrency)
-
-routing:
-  -d, --device SPEC     target device (default tokyo); see --list-devices.
-                        file:PATH.json loads a JSON device description
-                        (graph + durations/fidelities + calibration; see
-                        README "Device files")
-  -r, --router NAME     routing pass (default codar); see --list-routers
-      --initial NAME    initial mapping (default sabre); see --list-mappings
-      --seed N          initial-mapping RNG seed (default 17)
-      --mapping-rounds N  SABRE reverse-traversal rounds (default 3; >= 1)
-      --peephole        run the peephole cleanup pass before routing
-      --no-verify       skip the routing verifier
-      --timing          add per-route and per-stage wall times (route_us,
-                        stage_us) to the JSON stats; off by default so
-                        stats stay bit-identical across runs and thread
-                        counts
-
-CODAR ablation knobs:
-      --no-context --no-duration --no-commutativity --no-fine-priority
-      --window N        commutative-front scan cap (<=0 unbounded)
-      --stagnation N    forced SWAPs before the shortest-path escape
-
-codar-fid objective weights (see README "Routing objectives"):
-      --alpha X         distance term weight (default 1)
-      --beta X          log-fidelity term weight (default 5; >= 0)
-      --gamma X         decoherence term weight (default 1; >= 0)
-                        beta=0 gamma=0 routes byte-identically to codar
-)";
+)" + render_help<Options>(kCliRows) +
+         "\nrouting (also the request defaults of codar serve):\n" +
+         render_help(routing_options());
 }
 
 }  // namespace codar::cli

@@ -9,7 +9,9 @@
 //
 // Route requests carry either inline OpenQASM (`qasm`) or the name of a
 // built-in suite benchmark (`suite_name`), plus optional device/router
-// selection and an `options` object mirroring the CLI's routing knobs.
+// selection and an `options` object whose keys are the `key`s of
+// cli::routing_options(), the same table the CLI's routing flags come
+// from. An unknown or repeated option key is an error.
 // `device` is either a registry spec string ("tokyo", "grid:4x5") or an
 // inline JSON device description object (the `--device file:` schema —
 // see codar/arch/device_json.hpp), so clients can route against
@@ -56,17 +58,18 @@ struct ServeRequest {
 };
 
 /// Parses one NDJSON request line on top of the server-wide `defaults`.
-/// Throws ProtocolError (malformed JSON, unknown keys/kinds, missing or
-/// conflicting circuit source).
+/// Throws ProtocolError (malformed JSON, unknown or duplicate keys,
+/// out-of-range options, missing or conflicting circuit source).
 ServeRequest parse_request(const std::string& line,
                            const cli::Options& defaults);
 
 /// Fingerprint over every Options field that can change a routed result or
-/// its cached report: router, initial mapping, seed, mapping rounds,
-/// peephole, verify, the CODAR ablation knobs and the codar-fid weights.
-/// Deliberately excludes
-/// presentation-only fields (device spec string, timing, threads, paths) —
-/// the device is fingerprinted separately from its content.
+/// its cached report: the `affects_output` rows of cli::routing_options(),
+/// folded in table order (schema 3: router, initial mapping, seed, mapping
+/// rounds, peephole, verify, the CODAR ablation knobs, the codar-fid
+/// weights). Inert rows (device spec string, timing, threads) and the I/O
+/// fields are left out; the device is fingerprinted separately from its
+/// content.
 std::uint64_t options_fingerprint(const cli::Options& opts);
 
 }  // namespace codar::service

@@ -71,10 +71,9 @@ struct ServeOptions {
 };
 
 /// Parses `codar serve` arguments (everything after the subcommand word).
-/// Accepts every routing flag of the batch CLI as a request default, plus
-/// --cache-bytes / --cache-shards / --cache-dir / --cache-disk-bytes /
-/// --warm-start / --listen / --max-inflight / --idle-timeout-ms /
-/// --max-line-bytes. Throws cli::UsageError.
+/// Accepts every routing flag of the batch CLI (cli::routing_options()) as
+/// a request default, plus serve's own transport and cache flags, one
+/// option-table row per field above. Throws cli::UsageError.
 ServeOptions parse_serve_args(const std::vector<std::string>& args);
 
 /// The `codar serve --help` text.

@@ -1,9 +1,10 @@
 #include "codar/service/protocol.hpp"
 
-#include <climits>
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 #include "codar/arch/device_json.hpp"
 #include "codar/common/fnv.hpp"
@@ -21,99 +22,40 @@ using common::json_quote;
 
 [[noreturn]] void bad(const std::string& what) { throw ProtocolError(what); }
 
-const std::string& require_string(const Json& v, const char* key) {
-  if (!v.is_string()) bad(std::string("'") + key + "' must be a string");
+const std::string& require_string(const Json& v, std::string_view key) {
+  if (!v.is_string()) bad("'" + std::string(key) + "' must be a string");
   return v.as_string();
 }
 
-bool require_bool(const Json& v, const char* key) {
-  if (!v.is_bool()) bad(std::string("'") + key + "' must be a boolean");
-  return v.as_bool();
-}
-
-long long require_int(const Json& v, const char* key) {
-  if (!v.is_number()) bad(std::string("'") + key + "' must be an integer");
-  const double d = v.as_number();
-  if (d != std::floor(d) || std::abs(d) > 9.0e15) {
-    bad(std::string("'") + key + "' must be an integer");
-  }
-  return static_cast<long long>(d);
-}
-
-/// require_int for an int field: [lo, INT_MAX] is checked before the
-/// narrowing cast, so 2^32 is an error instead of a silent wrap to 0.
-int require_int_in(const Json& v, const char* key, long long lo) {
-  const long long n = require_int(v, key);
-  if (n < lo) bad(std::string("'") + key + "' must be >= " +
-                  std::to_string(lo));
-  if (n > INT_MAX) {
-    bad(std::string("'") + key + "' must be <= " + std::to_string(INT_MAX));
-  }
-  return static_cast<int>(n);
-}
-
-double require_finite(const Json& v, const char* key) {
-  if (!v.is_number()) bad(std::string("'") + key + "' must be a number");
-  const double d = v.as_number();
-  if (!std::isfinite(d)) {
-    bad(std::string("'") + key + "' must be a finite number");
-  }
-  return d;
-}
-
-/// Resolves a router/mapping name through `named` (pipeline::router_named
-/// or mapping_named), rewrapping its UsageError (which lists the known
-/// names) as a ProtocolError.
-std::string_view known_name(
-    const pipeline::PassInfo& (*named)(std::string_view),
-    const std::string& name) {
-  try {
-    return named(name).name;
-  } catch (const pipeline::UsageError& e) {
-    throw ProtocolError(e.what());
-  }
-}
-
-/// Applies one member of the request's "options" object. Mirrors the CLI
-/// flags one-to-one (see parse_routing_flag); key names use underscores.
-void apply_option(cli::Options& opts, const std::string& key,
-                  const Json& v) {
-  if (key == "initial") {
-    opts.mapping = known_name(pipeline::mapping_named,
-                              require_string(v, "initial"));
-  } else if (key == "seed") {
-    opts.seed = static_cast<std::uint64_t>(require_int(v, "seed"));
-  } else if (key == "mapping_rounds") {
-    opts.mapping_rounds = require_int_in(v, "mapping_rounds", 1);
-  } else if (key == "peephole") {
-    opts.peephole = require_bool(v, "peephole");
-  } else if (key == "verify") {
-    opts.verify = require_bool(v, "verify");
-  } else if (key == "timing") {
-    opts.timing = require_bool(v, "timing");
-  } else if (key == "context") {
-    opts.codar.context_aware = require_bool(v, "context");
-  } else if (key == "duration") {
-    opts.codar.duration_aware = require_bool(v, "duration");
-  } else if (key == "commutativity") {
-    opts.codar.commutativity_aware = require_bool(v, "commutativity");
-  } else if (key == "fine_priority") {
-    opts.codar.fine_priority = require_bool(v, "fine_priority");
-  } else if (key == "window") {
-    opts.codar.front_window = require_int_in(v, "window", INT_MIN);
-  } else if (key == "stagnation") {
-    opts.codar.stagnation_threshold = require_int_in(v, "stagnation", 1);
-  } else if (key == "alpha") {
-    opts.fid.alpha = require_finite(v, "alpha");
-  } else if (key == "beta") {
-    opts.fid.beta = require_finite(v, "beta");
-    if (opts.fid.beta < 0.0) bad("'beta' must be >= 0");
-  } else if (key == "gamma") {
-    opts.fid.gamma = require_finite(v, "gamma");
-    if (opts.fid.gamma < 0.0) bad("'gamma' must be >= 0");
-  } else {
-    bad("unknown option '" + key + "'");
-  }
+/// Decodes one member of the request's "options" object into its row's
+/// field. Integers must be integral and within 9e15 (past that a double
+/// skips integers), and are range-checked before they are narrowed.
+void set_from_json(const cli::OptionSpec& row, cli::OptionRef field,
+                   const Json& v) {
+  const std::string must = "'" + std::string(row.key) + "' must be ";
+  std::visit(
+      [&](auto* f) {
+        using T = std::remove_pointer_t<decltype(f)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          if (!v.is_bool()) bad(must + "a boolean");
+          *f = v.as_bool();
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          *f = require_string(v, row.key);
+          if (row.check != nullptr) row.check(*f);
+        } else {
+          const bool integer = !std::is_same_v<T, double>;
+          if (!v.is_number()) bad(must + (integer ? "an integer" : "a number"));
+          const double d = v.as_number();
+          if (integer && (d != std::floor(d) || std::abs(d) > 9.0e15)) {
+            bad(must + "an integer");
+          }
+          if (!std::isfinite(d)) bad(must + "a finite number");
+          const std::string range = cli::range_error(row, field, d);
+          if (!range.empty()) bad("'" + std::string(row.key) + "' " + range);
+          *f = static_cast<T>(d);
+        }
+      },
+      field);
 }
 
 }  // namespace
@@ -214,15 +156,31 @@ ServeRequest parse_request(const std::string& line,
       bad("'device' must be a spec string or a device object");
     }
   }
-  if (const Json* router = doc.find("router")) {
-    req.opts.router = known_name(pipeline::router_named,
-                                 require_string(*router, "router"));
-  }
-  if (const Json* options = doc.find("options")) {
-    if (!options->is_object()) bad("'options' must be an object");
-    for (const auto& [key, value] : options->members()) {
-      apply_option(req.opts, key, value);
+  // Name checks throw UsageError, listing the known names; on a request
+  // line that is a ProtocolError.
+  try {
+    if (const Json* router = doc.find("router")) {
+      req.opts.router = require_string(*router, "router");
+      pipeline::router_named(req.opts.router);
     }
+    if (const Json* options = doc.find("options")) {
+      if (!options->is_object()) bad("'options' must be an object");
+      const auto rows = cli::routing_options();
+      const auto& members = options->members();
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        const std::string& key = members[i].first;
+        const auto row = std::find_if(rows.begin(), rows.end(), [&](auto& r) {
+          return !r.key.empty() && r.key == key;
+        });
+        if (row == rows.end()) bad("unknown option '" + key + "'");
+        for (std::size_t j = 0; j < i; ++j) {
+          if (members[j].first == key) bad("duplicate option '" + key + "'");
+        }
+        set_from_json(*row, row->field(req.opts), members[i].second);
+      }
+    }
+  } catch (const pipeline::UsageError& e) {
+    bad(e.what());
   }
   return req;
 }
@@ -230,26 +188,25 @@ ServeRequest parse_request(const std::string& line,
 std::uint64_t options_fingerprint(const cli::Options& opts) {
   common::Fnv1a h;
   h.u64(3);  // fingerprint schema version (3: + codar-fid objective weights)
-  h.str(opts.router);
-  h.str(opts.mapping);
-  h.u64(opts.seed);
-  h.i64(opts.mapping_rounds);
-  h.byte(opts.peephole ? 1 : 0);
-  h.byte(opts.verify ? 1 : 0);
-  h.byte(opts.codar.context_aware ? 1 : 0);
-  h.byte(opts.codar.duration_aware ? 1 : 0);
-  h.byte(opts.codar.commutativity_aware ? 1 : 0);
-  h.byte(opts.codar.fine_priority ? 1 : 0);
-  h.i64(opts.codar.front_window);
-  h.i64(opts.codar.stagnation_threshold);
-  // Objective weights change routed output for codar-fid, so they are
-  // cache-key relevant. Folded unconditionally (also under codar/sabre,
-  // where they are inert): conditioning on the router name would make two
-  // requests that differ only in an ignored knob alias — harmless — but
-  // cost a router-name comparison on every lookup for no correctness win.
-  h.f64(opts.fid.alpha);
-  h.f64(opts.fid.beta);
-  h.f64(opts.fid.gamma);
+  // The accessors take a mutable Options; this loop only reads through them.
+  auto& fields = const_cast<cli::Options&>(opts);
+  for (const cli::OptionRow<cli::Options>& row : cli::routing_options()) {
+    if (!row.affects_output) continue;
+    std::visit(
+        [&h](const auto* f) {
+          using T = std::remove_cvref_t<decltype(*f)>;
+          if constexpr (std::is_same_v<T, bool>) {
+            h.byte(*f ? 1 : 0);
+          } else if constexpr (std::is_same_v<T, double>) {
+            h.f64(*f);
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            h.str(*f);
+          } else {
+            h.u64(static_cast<std::uint64_t>(*f));  // int sign-extends
+          }
+        },
+        row.field(fields));
+  }
   // Schema 3 ends with the count of a since-removed free-form knob list,
   // always 0 for these routers. Hashing the constant keeps every key
   // written under schema 3 valid, so a persisted --cache-dir still hits.

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <condition_variable>
 #include <csignal>
 #include <deque>
@@ -14,6 +13,7 @@
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -40,16 +40,64 @@ using common::Json;
 using common::JsonError;
 using common::json_quote;
 
-std::size_t parse_size(const std::string& flag, const std::string& value) {
-  std::size_t result = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), result);
-  if (ec != std::errc() || ptr != value.data() + value.size()) {
-    throw cli::UsageError(flag + " expects a non-negative integer, got '" +
-                          value + "'");
-  }
-  return result;
-}
+static_assert(std::is_same_v<std::size_t, std::uint64_t>,
+              "the size_t serve flags are uint64_t option rows");
+
+/// `codar serve`'s own transport and cache flags.
+constexpr cli::OptionRow<ServeOptions> kServeRows[] = {
+    {{.flag = "--listen", .metavar = "SPEC",
+      .check =
+          [](const std::string& spec) {
+            try {
+              parse_listen_spec(spec);  // validate now, fail at parse time
+            } catch (const std::invalid_argument& e) {
+              throw cli::UsageError(e.what());
+            }
+          },
+      .help = "transport endpoint: stdio, tcp:HOST:PORT (port\n"
+              "0 = kernel-chosen) or unix:PATH"},
+     cli::member<&ServeOptions::listen>},
+    {{.flag = "--max-inflight", .metavar = "N", .lo = 1, .hi = 1 << 20,
+      .help = "per-connection cap on accepted, unanswered\n"
+              "requests; at the cap the server stops reading\n"
+              "that connection until responses drain"},
+     cli::member<&ServeOptions::max_inflight>},
+    {{.flag = "--idle-timeout-ms", .metavar = "N", .lo = 0, .hi = 86400000,
+      .help = "close connections quiet for N ms; 0 = never\n"
+              "(socket transports only)"},
+     cli::member<&ServeOptions::idle_timeout_ms>},
+    {{.flag = "--max-line-bytes", .metavar = "N", .lo = 1024,
+      .help = "oversized-frame cap per request line"},
+     cli::member<&ServeOptions::max_line_bytes>},
+    {{.flag = "--cache-bytes", .metavar = "N",
+      .help = "route-cache byte budget; 0 disables caching,\n"
+              "including the disk tier"},
+     cli::member<&ServeOptions::cache_bytes>},
+    // lo is RouteCache's num_shards >= 1 contract.
+    {{.flag = "--cache-shards", .metavar = "N", .lo = 1, .hi = 4096,
+      .help = "number of independently locked shards"},
+     cli::member<&ServeOptions::cache_shards>},
+    {{.flag = "--cache-dir", .metavar = "PATH",
+      .check =
+          [](const std::string& dir) {
+            if (dir.empty()) {
+              throw cli::UsageError("--cache-dir expects a directory path");
+            }
+          },
+      .help = "persistent route-cache directory (crash-safe log,\n"
+              "created if absent); a restarted server serves its\n"
+              "history as disk hits. Default: memory only"},
+     cli::member<&ServeOptions::cache_dir>},
+    {{.flag = "--cache-disk-bytes", .metavar = "N",
+      .help = "disk-tier live-byte budget (0 = unbounded);\n"
+              "oldest entries evicted past it"},
+     cli::member<&ServeOptions::cache_disk_bytes>},
+    {{.flag = "--warm-start", .metavar = "N",
+      .help = "preload the N most recent disk entries into the\n"
+              "memory tier at boot"}, cli::member<&ServeOptions::warm_start>},
+    {{.flag = "--help", .alias = "-h", .help = "print this help"},
+     cli::member<&ServeOptions::help>},
+};
 
 /// Reader-side poll slice: the longest a reader blocks in one read call
 /// before re-checking the shutdown flag and its idle budget.
@@ -815,55 +863,8 @@ ServeOptions parse_serve_args(const std::vector<std::string>& args) {
       }
       return args[++i];
     };
-    if (cli::parse_routing_flag(opts.defaults, arg, value)) {
-      continue;
-    } else if (arg == "--help" || arg == "-h") {
-      opts.help = true;
-    } else if (arg == "--cache-bytes") {
-      opts.cache_bytes = parse_size(arg, value());
-    } else if (arg == "--cache-shards") {
-      const std::size_t shards = parse_size(arg, value());
-      // Upper bound before the int cast: 2^32 would truncate to 0 and
-      // blow past RouteCache's num_shards >= 1 contract.
-      if (shards < 1 || shards > 4096) {
-        throw cli::UsageError("--cache-shards must be in [1, 4096]");
-      }
-      opts.cache_shards = static_cast<int>(shards);
-    } else if (arg == "--cache-dir") {
-      opts.cache_dir = value();
-      if (opts.cache_dir.empty()) {
-        throw cli::UsageError("--cache-dir expects a directory path");
-      }
-    } else if (arg == "--cache-disk-bytes") {
-      opts.cache_disk_bytes = parse_size(arg, value());
-    } else if (arg == "--warm-start") {
-      opts.warm_start = parse_size(arg, value());
-    } else if (arg == "--listen") {
-      opts.listen = value();
-      try {
-        parse_listen_spec(opts.listen);  // validate now, fail at parse time
-      } catch (const std::invalid_argument& e) {
-        throw cli::UsageError(e.what());
-      }
-    } else if (arg == "--max-inflight") {
-      const std::size_t n = parse_size(arg, value());
-      if (n < 1 || n > (1u << 20)) {
-        throw cli::UsageError("--max-inflight must be in [1, 1048576]");
-      }
-      opts.max_inflight = n;
-    } else if (arg == "--idle-timeout-ms") {
-      const std::size_t ms = parse_size(arg, value());
-      if (ms > 86400000) {
-        throw cli::UsageError("--idle-timeout-ms must be <= 86400000");
-      }
-      opts.idle_timeout_ms = static_cast<int>(ms);
-    } else if (arg == "--max-line-bytes") {
-      const std::size_t n = parse_size(arg, value());
-      if (n < 1024) {
-        throw cli::UsageError("--max-line-bytes must be >= 1024");
-      }
-      opts.max_line_bytes = n;
-    } else {
+    if (!cli::parse_routing_flag(opts.defaults, arg, value) &&
+        !cli::parse_flag<ServeOptions>(kServeRows, opts, arg, value)) {
       throw cli::UsageError("unknown serve flag '" + arg + "'");
     }
   }
@@ -898,42 +899,14 @@ LRU route cache; concurrent duplicates route once.
 
 Socket transports accept any number of concurrent clients, each free to
 pipeline requests; responses stream back in completion order tagged with
-the client's request ids. Per connection at most --max-inflight requests
-may be accepted but unanswered — past that the server stops reading that
-connection until responses drain (backpressure). SIGTERM/SIGINT drain:
-accepted requests finish, responses flush, then the process exits.
+the client's request ids. SIGTERM/SIGINT drain: accepted requests finish,
+responses flush, then the process exits.
 
 service options:
-      --listen SPEC     transport endpoint: stdio (default),
-                        tcp:HOST:PORT (port 0 = kernel-chosen) or
-                        unix:PATH
-      --max-inflight N  per-connection pipelining cap (default 64)
-      --idle-timeout-ms N
-                        close connections quiet for N ms (default 0 =
-                        never; socket transports only)
-      --max-line-bytes N
-                        oversized-frame cap per request line (default
-                        8388608)
-      --cache-bytes N   route-cache byte budget (default 268435456; 0
-                        disables caching, including the disk tier)
-      --cache-shards N  number of independently locked shards (default 8)
-      --cache-dir PATH  persistent route-cache directory (crash-safe
-                        append-only log; created if absent). A restarted
-                        server serves its history as disk hits instead of
-                        re-routing. Default: memory-only cache.
-      --cache-disk-bytes N
-                        disk-tier live-byte budget (default 1073741824;
-                        0 = unbounded); oldest entries evicted past it
-      --warm-start N    preload the N most recent disk entries into the
-                        memory tier at boot (default 0)
-      --threads, -j N   worker threads (0 = hardware concurrency)
-
-request defaults (overridable per request; same meaning as in batch mode):
-  -d, --device SPEC  -r, --router NAME  --initial NAME  --seed N
-      --mapping-rounds N  --peephole  --no-verify  --timing
-      --no-context --no-duration --no-commutativity --no-fine-priority
-      --window N --stagnation N --alpha X --beta X --gamma X
-)";
+)" + cli::render_help<ServeOptions>(kServeRows) +
+         "\nrequest defaults (same meaning as in batch mode; --threads sizes "
+         "the\nworker pool):\n" +
+         cli::render_help(cli::routing_options());
 }
 
 std::unique_ptr<ServerHandle> start_serve(const ServeOptions& opts) {

@@ -100,6 +100,18 @@ TEST(CliOptions, IntegerKnobsAreRangeCheckedBeforeNarrowing) {
   EXPECT_EQ(opts.codar.stagnation_threshold, 2147483647);
   EXPECT_EQ(opts.mapping_rounds, 1);
   EXPECT_EQ(opts.threads, 0);
+  // The seed is a uint64_t: its whole range parses, and a negative value
+  // is an error instead of wrapping to 2^64 - 1.
+  EXPECT_EQ(parse_args({"--seed", "18446744073709551615", "a.qasm"}).seed,
+            18446744073709551615ULL);
+  EXPECT_THROW(parse_args({"--seed", "18446744073709551616", "a.qasm"}),
+               UsageError);
+  try {
+    parse_args({"--seed", "-1", "a.qasm"});
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_EQ(std::string(e.what()), "--seed must be >= 0");
+  }
 }
 
 TEST(CliOptions, UnknownRouterAndMappingListRegisteredNames) {

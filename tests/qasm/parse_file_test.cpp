@@ -15,7 +15,15 @@ namespace {
 class ParseFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "codar_qasm_test";
+    // One directory per case: ctest runs each case in its own process, so
+    // a shared directory would let one case's TearDown delete a sibling's
+    // files mid-test.
+    dir_ = std::filesystem::path(testing::TempDir()) /
+           ("codar_qasm_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()));
+    std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

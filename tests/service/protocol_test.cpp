@@ -1,11 +1,19 @@
-// Tests for the serve protocol layer: the dependency-free JSON parser and
-// the request-line → Options mapping.
+// Tests for the serve protocol layer: the dependency-free JSON parser, the
+// request-line → Options mapping, and the option table both front ends and
+// the route-cache key share.
 
 #include "codar/service/protocol.hpp"
+
+#include <cstdio>
+#include <string>
+#include <type_traits>
+#include <variant>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "codar/common/json.hpp"
+#include "codar/service/server.hpp"
 
 namespace codar::service {
 namespace {
@@ -132,6 +140,29 @@ TEST(ParseRequest, IntegerOptionsAreRangeCheckedBeforeNarrowing) {
                 .opts.codar.stagnation_threshold,
             2147483647);
   EXPECT_EQ(with_option("mapping_rounds", "1").opts.mapping_rounds, 1);
+  // The seed takes every integer a double holds exactly, [0, 9e15]; a
+  // negative seed used to wrap to 2^64 - 1.
+  EXPECT_EQ(with_option("seed", "9000000000000000").opts.seed,
+            9000000000000000ULL);
+  EXPECT_THROW(with_option("seed", "1e16"), ProtocolError);
+  try {
+    with_option("seed", "-1");
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(std::string(e.what()), "'seed' must be >= 0");
+  }
+}
+
+TEST(ParseRequest, DuplicateOptionIsRejected) {
+  // Like a duplicate top-level key: the last value must not silently win.
+  try {
+    parse_request(R"({"suite_name": "ghz_3",
+                      "options": {"seed": 1, "seed": 2}})",
+                  defaults());
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(std::string(e.what()), "duplicate option 'seed'");
+  }
 }
 
 TEST(ParseRequest, FidWeightOptionsParseAndValidate) {
@@ -278,6 +309,118 @@ TEST(ParseRequest, RejectsBadRequests) {
   EXPECT_THROW(
       parse_request(R"({"id": 1, "id": 2, "suite_name": "x"})", d),
       ProtocolError);
+}
+
+// -- The option table ---------------------------------------------------------
+
+/// Sets `field` to a different value that both front ends accept.
+void change(const cli::OptionSpec& row, cli::OptionRef field) {
+  std::visit(
+      [&](auto* f) {
+        using T = std::remove_pointer_t<decltype(f)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          *f = !*f;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          for (const std::string name : {"sabre", "greedy", "q16"}) {
+            if (name == *f) continue;
+            try {
+              if (row.check != nullptr) row.check(name);
+            } catch (const cli::UsageError&) {
+              continue;
+            }
+            *f = name;
+            return;
+          }
+          ADD_FAILURE() << row.flag << ": no other valid name";
+        } else {
+          *f += 1;
+        }
+      },
+      field);
+}
+
+/// The field's value as an argv value (`json` false) or a JSON token.
+std::string render(cli::OptionRef field, bool json) {
+  return std::visit(
+      [&](auto* f) -> std::string {
+        using T = std::remove_pointer_t<decltype(f)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          return *f ? "true" : "false";
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          return json ? json_quote(*f) : *f;
+        } else if constexpr (std::is_same_v<T, double>) {
+          char buf[32];
+          std::snprintf(buf, sizeof(buf), "%.17g", *f);
+          return buf;
+        } else {
+          return std::to_string(*f);
+        }
+      },
+      field);
+}
+
+TEST(OptionTable, FingerprintFoldsExactlyTheOutputAffectingRows) {
+  // A knob left out of the cache key would alias cache entries; an inert
+  // field folded into it would fragment the cache.
+  cli::Options base;
+  const std::uint64_t fp = options_fingerprint(base);
+  for (const cli::OptionRow<cli::Options>& row : cli::routing_options()) {
+    cli::Options changed = base;
+    change(row, row.field(changed));
+    EXPECT_NE(render(row.field(changed), true),
+              render(row.field(base), true))
+        << row.flag;
+    EXPECT_EQ(options_fingerprint(changed) != fp, row.affects_output)
+        << row.flag;
+  }
+  // The batch CLI's mode and I/O fields are inert too.
+  cli::Options io = base;
+  io.inputs = {"a.qasm"};
+  io.batch_dir = "dir";
+  io.suite = true;
+  io.output_path = "out.qasm";
+  io.stats_path = "stats.json";
+  io.describe_device = "q16";
+  io.list_devices = io.list_routers = io.list_mappings = io.help = true;
+  EXPECT_EQ(options_fingerprint(io), fp);
+}
+
+TEST(OptionTable, FlagAndRequestOptionAgree) {
+  // One non-default value per row, once as a flag and once as a request
+  // option, must land in the same field and the same cache key.
+  for (const cli::OptionRow<cli::Options>& row : cli::routing_options()) {
+    if (row.key.empty()) continue;
+    cli::Options expected;
+    change(row, row.field(expected));
+    std::vector<std::string> args = {std::string(row.flag)};
+    if (!row.metavar.empty()) {
+      args.push_back(render(row.field(expected), false));
+    }
+    args.emplace_back("a.qasm");
+    cli::Options from_flag = cli::parse_args(args);
+    ServeRequest from_json = parse_request(
+        R"({"suite_name": "ghz_3", "options": {")" + std::string(row.key) +
+            "\": " + render(row.field(expected), true) + "}}",
+        cli::Options{});
+    const std::string want = render(row.field(expected), true);
+    EXPECT_EQ(render(row.field(from_flag), true), want) << row.flag;
+    EXPECT_EQ(render(row.field(from_json.opts), true), want) << row.key;
+    EXPECT_EQ(options_fingerprint(from_flag),
+              options_fingerprint(from_json.opts))
+        << row.flag;
+  }
+}
+
+TEST(OptionTable, BothHelpTextsListEveryRoutingFlag) {
+  const std::string cli_help = cli::usage();
+  const std::string serve_help = serve_usage();
+  for (const cli::OptionRow<cli::Options>& row : cli::routing_options()) {
+    for (const std::string_view spelling : {row.flag, row.alias}) {
+      if (spelling.empty()) continue;
+      EXPECT_NE(cli_help.find(spelling), std::string::npos) << spelling;
+      EXPECT_NE(serve_help.find(spelling), std::string::npos) << spelling;
+    }
+  }
 }
 
 }  // namespace
